@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import circuit, dynamics, noise, squid
-from .constants import PHI_0, hbar
+from .constants import hbar
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PhotonPressureError, TraceFormatError)
 from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
@@ -201,8 +201,8 @@ def cmd_params(args) -> int:
         report["squid.junction_inductance"] = spec.junction_inductance
         report["squid.critical_current"] = spec.critical_current
         if "loop.inductance" in cfg and "junction.critical_current" in cfg:
-            report["squid.screening"] = (2.0 * need(cfg, "loop.inductance")
-                                         * need(cfg, "junction.critical_current") / PHI_0)
+            report["squid.screening"] = squid.screening_parameter(
+                need(cfg, "loop.inductance"), need(cfg, "junction.critical_current"))
         phi_zpf = cfg.get("coupling.zero_point_flux_phi0",
                           report.get("coupling.zero_point_flux_phi0"))
         if phi_zpf is not None:

@@ -7,8 +7,17 @@ reflection trace on top of a slowly varying instrumental background:
    the initial-guess center) and estimate the background
    (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline;
 2. divide the background out and fit the ideal response including a
-   resonance-circle rotation theta;
+   resonance-circle rotation theta.  This alternates with a background
+   re-estimate from the data divided by the fitted resonance, so resonance
+   tails do not bias the baseline.  The alternation is a fixed point of the
+   four scaled background parameters that converges linearly; Anderson
+   mixing of the last iterates (Walker & Ni, SIAM J. Numer. Anal. 49, 1715
+   (2011)) roughly halves its rounds;
 3. re-fit the full model jointly, seeded by stages 1-2.
+
+The bare model passes its analytic Jacobian to the engine in stages 2 and 3;
+the pumped model uses finite differences.  ``extras["diagnostics"]`` reports
+the stage-2 rounds and stop reason and the stage-3 iterations and message.
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
@@ -38,6 +47,8 @@ __all__ = [
 ]
 
 _MIN_POINTS = 16
+_STAGE2_ROUNDS = 40   # cap on the stage-2 background alternation
+_ANDERSON_DEPTH = 4   # past iterates mixed into each stage-2 background update
 
 
 @dataclass(frozen=True)
@@ -122,23 +133,21 @@ def _baseline_phase(omega, values, base_idx):
 
     An overcoupled resonance winds the phase by a full turn, so segments on
     either side of the dip may sit on branches a multiple of 2*pi apart; each
-    segment is shifted onto the line extrapolated from the longest one.
+    segment is shifted onto the line extrapolated from the first longest one.
+    Returns the phases in ``base_idx`` order.
     """
     segments = np.split(base_idx, np.where(np.diff(base_idx) > 1)[0] + 1)
-    segments.sort(key=len, reverse=True)
-    anchor = segments[0]
-    phase = {i: v for i, v in zip(anchor, np.unwrap(np.angle(values[anchor])))}
-    w = omega[anchor]
+    phases = [np.unwrap(np.angle(values[seg])) for seg in segments]
+    k = max(range(len(segments)), key=lambda i: segments[i].size)
+    w = omega[segments[k]]
     design = np.column_stack([np.ones_like(w), w - w.mean()])
-    coef, *_ = np.linalg.lstsq(design, np.fromiter(phase.values(), float), rcond=None)
-    for seg in segments[1:]:
-        seg_phase = np.unwrap(np.angle(values[seg]))
-        predicted = coef[0] + coef[1] * (omega[seg] - w.mean())
-        shift = 2.0 * np.pi * np.round(np.median(seg_phase - predicted) / (2.0 * np.pi))
-        for i, v in zip(seg, seg_phase - shift):
-            phase[i] = v
-    idx = np.array(sorted(phase))
-    return idx, np.array([phase[i] for i in idx])
+    coef, *_ = np.linalg.lstsq(design, phases[k], rcond=None)
+    for i, seg in enumerate(segments):
+        if i != k:
+            predicted = coef[0] + coef[1] * (omega[seg] - w.mean())
+            phases[i] = phases[i] - 2.0 * np.pi * np.round(
+                np.median(phases[i] - predicted) / (2.0 * np.pi))
+    return np.concatenate(phases)
 
 
 def _background_stage(omega, values, mask, w_ref):
@@ -147,10 +156,8 @@ def _background_stage(omega, values, mask, w_ref):
     w = omega[base_idx] - w_ref
     design = np.column_stack([np.ones_like(w), w])
     amp_coef, *_ = np.linalg.lstsq(design, np.abs(values[base_idx]), rcond=None)
-    idx, phases = _baseline_phase(omega, values, base_idx)
-    wp = omega[idx] - w_ref
-    ph_coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(wp), wp]),
-                                  phases, rcond=None)
+    ph_coef, *_ = np.linalg.lstsq(design, _baseline_phase(omega, values, base_idx),
+                                  rcond=None)
     return BackgroundModel(
         amplitude_offset=float(amp_coef[0]),
         amplitude_slope=float(amp_coef[1]),
@@ -162,6 +169,30 @@ def _background_stage(omega, values, mask, w_ref):
 
 def _wrap_angle(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _sign(x):
+    """d|x|/dx, taking the forward-difference side at 0."""
+    return -1.0 if x < 0 else 1.0
+
+
+def _anderson_step(xs, fs, x, f):
+    """Next iterate of the fixed point x = x + f(x) by Anderson mixing.
+
+    ``xs`` and ``fs`` hold the previous iterates and their residuals f; the
+    current pair is appended and the history trimmed to
+    ``_ANDERSON_DEPTH`` differences (Walker & Ni, SIAM J. Numer. Anal. 49,
+    1715 (2011)).  With no history this is the plain step x + f.
+    """
+    xs.append(x)
+    fs.append(f)
+    del xs[:-_ANDERSON_DEPTH - 1], fs[:-_ANDERSON_DEPTH - 1]
+    if len(fs) == 1:
+        return x + f
+    d_f = np.diff(fs, axis=0).T
+    d_g = np.diff(np.add(xs, fs), axis=0).T
+    gamma, *_ = np.linalg.lstsq(d_f, f, rcond=None)
+    return x + f - d_g @ gamma
 
 
 def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | None = None,
@@ -217,6 +248,19 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
             om0, ki, ke, theta = pars
             dip = 1.0 - s11_bare(omega_arr, om0, abs(ki), abs(ke))
             return 1.0 - dip * np.exp(1j * theta)
+
+        def resonance_jac(pars):
+            # d/d(omega0, kappa_i, kappa_e, theta) of resonance(omega, pars),
+            # dip = 2|ke| z with z = 1/(|ki| + |ke| + 2i(omega - omega0))
+            om0, ki, ke, theta = pars
+            z = 1.0 / (abs(ki) + abs(ke) + 2j * (omega - om0))
+            rot = np.exp(1j * theta)
+            return np.column_stack([
+                -4j * abs(ke) * z * z * rot,
+                2.0 * _sign(ki) * abs(ke) * z * z * rot,
+                -2.0 * _sign(ke) * z * (1.0 - abs(ke) * z) * rot,
+                -2j * abs(ke) * z * rot,
+            ])
     else:
         ke_fix = float(pumped["kappa_e"])
         gamma0_fix = float(pumped["gamma0"])
@@ -235,32 +279,58 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
                                    gamma0_fix, g, detuning_fix)
             return 1.0 - dip * np.exp(1j * theta)
 
+        resonance_jac = None
+
     # alternate the ideal-response fit with a tail-free background
     # re-estimate (dividing the fitted resonance out of the data) so the
     # stage-2 seed is not biased by resonance tails leaking into the
-    # baseline; stop when the estimate converges or hits the noise floor
-    bg_est = bg1
-    guess = (phys0 - ref2) / scale2
+    # baseline.  The re-estimate is a fixed-point map of the scaled
+    # background x = (a0, a1*span, b0, b1*span); Anderson mixing of the last
+    # iterates speeds up its linear convergence.  Stop when the estimate
+    # converges or hits the noise floor.
     span_w = omega[-1] - omega[0]
+    unit = np.array([1.0, span_w, 1.0, span_w])
+
+    def scaled(bg):
+        return np.array([bg.amplitude_offset, bg.amplitude_slope,
+                         bg.phase_offset, bg.phase_slope]) * unit
+
+    def stage2_residual(u):
+        return resonance(omega, ref2 + scale2 * u) - corrected
+
+    stage2_jac = None
+    if resonance_jac is not None:
+        def stage2_jac(u):
+            return resonance_jac(ref2 + scale2 * u) * scale2
+
+    bg_est = bg1
+    x = scaled(bg1)
+    xs, fs = [], []
+    guess = (phys0 - ref2) / scale2
     prev_delta = np.inf
-    for _ in range(40):
+    stop = "round cap"
+    for rounds in range(1, _STAGE2_ROUNDS + 1):
         corrected = values / bg_est.evaluate(omega)
-        fit2 = least_squares(
-            lambda u: resonance(omega, ref2 + scale2 * u) - corrected,
-            guess, names=stage2_names, step_tol=1e-11, step_floor=1e-8)
+        fit2 = least_squares(stage2_residual, guess, jac=stage2_jac,
+                             names=stage2_names, step_tol=1e-11, step_floor=1e-8)
         guess = fit2.params
         bg_new = _background_stage(
             omega, values / resonance(omega, ref2 + scale2 * fit2.params),
             mask, w_ref)
-        delta = max(abs(bg_new.amplitude_offset - bg_est.amplitude_offset),
-                    abs(bg_new.amplitude_slope - bg_est.amplitude_slope) * span_w,
-                    abs(bg_new.phase_offset - bg_est.phase_offset),
-                    abs(bg_new.phase_slope - bg_est.phase_slope) * span_w)
-        bg_est = bg_new
-        if delta < 1e-12 or delta > 0.8 * prev_delta:
+        f = scaled(bg_new) - x
+        f[2] = _wrap_angle(f[2])  # the offset is wrapped; compare modulo 2 pi
+        delta = float(np.max(np.abs(f)))
+        if delta < 1e-12:
+            stop = "converged"
+            break
+        if delta > 0.8 * prev_delta:
+            stop = "noise floor"
             break
         prev_delta = delta
-    bg1 = bg_est
+        x = _anderson_step(xs, fs, x, f)
+        a0, a1, b0, b1 = x / unit
+        bg_est = BackgroundModel(a0, a1, b0, b1, reference_frequency=w_ref)
+    bg1 = bg_new
     fit2.params = ref2 + scale2 * fit2.params
     fit2.uncertainties = scale2 * fit2.uncertainties
 
@@ -274,15 +344,27 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
                              bg1.phase_offset, bg1.phase_slope]])
 
     n_res = len(stage2_names)
+    w = omega - w_ref
 
     def full_model(pars):
         res = resonance(omega, pars[:n_res])
         a0, a1, b0, b1 = pars[n_res:]
-        w = omega - w_ref
         return res * (a0 + a1 * w) * np.exp(1j * (b0 + b1 * w))
 
+    stage3_jac = None
+    if resonance_jac is not None:
+        def stage3_jac(u):
+            pars = ref3 + scale3 * u
+            res = resonance(omega, pars[:n_res])
+            a0, a1, b0, b1 = pars[n_res:]
+            rot = np.exp(1j * (b0 + b1 * w))
+            bg = (a0 + a1 * w) * rot
+            cols = np.column_stack([res * rot, res * w * rot,
+                                    1j * res * bg, 1j * w * res * bg])
+            return np.hstack([resonance_jac(pars[:n_res]) * bg[:, None], cols]) * scale3
+
     fit3 = least_squares(lambda u: full_model(ref3 + scale3 * u) - values,
-                         (phys0 - ref3) / scale3, names=names,
+                         (phys0 - ref3) / scale3, jac=stage3_jac, names=names,
                          step_tol=1e-11, step_floor=1e-8)
     fit3.params = ref3 + scale3 * fit3.params
     fit3.uncertainties = scale3 * fit3.uncertainties
@@ -310,6 +392,12 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
     fit3.extras["corrected_trace"] = ComplexTrace(trace.frequency_hz, final)
     fit3.extras["stage2_params"] = {
         name: float(v) for name, v in zip(stage2_names, fit2.params)}
+    fit3.extras["diagnostics"] = {
+        "stage2_rounds": rounds,
+        "stage2_stop": stop,
+        "stage3_iterations": fit3.iterations,
+        "stage3_message": fit3.message,
+    }
     if model == "bare":
         fit3.extras["kappa"] = float(pars[1] + pars[2])
     return fit3

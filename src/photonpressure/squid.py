@@ -25,6 +25,7 @@ from .errors import BeyondArchError, DomainError
 __all__ = [
     "SquidSpec",
     "PowerDependence",
+    "screening_parameter",
     "squid_spec_from_fit",
     "squid_frequency",
     "josephson_inductance",
@@ -34,6 +35,11 @@ __all__ = [
     "total_linewidth",
     "kerr_shift",
 ]
+
+
+def screening_parameter(loop_inductance: float, critical_current: float) -> float:
+    """SQUID screening beta_L = 2 L_loop I_c / PHI_0 (dimensionless)."""
+    return 2.0 * loop_inductance * critical_current / PHI_0
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class SquidSpec:
         lj0 = PHI_0 / (2.0 * math.pi * self.critical_current)
         if abs(lj0 - self.junction_inductance) > 1e-12 * lj0:
             raise DomainError("junction inductance inconsistent with critical current")
-        beta = 2.0 * self.loop_inductance * self.critical_current / PHI_0
+        beta = screening_parameter(self.loop_inductance, self.critical_current)
         if abs(beta - self.screening) > 1e-12 * abs(beta):
             raise DomainError("screening parameter inconsistent with loop inductance")
 
@@ -113,7 +119,7 @@ def squid_spec_from_fit(sweet_spot_frequency: float, dilution: float,
         junction_inductance=lj0,
         critical_current=ic,
         loop_inductance=loop_inductance,
-        screening=2.0 * loop_inductance * ic / PHI_0,
+        screening=screening_parameter(loop_inductance, ic),
         total_inductance=total_inductance,
     )
 

@@ -91,6 +91,71 @@ class TestFitResonanceBare:
                         / HF_SET["kappa_i"])
         assert worst < 0.02
 
+    def test_background_phase_near_pi(self):
+        # the fitted phase offset wraps at +-pi; stage 2 must still converge
+        # there, so turning the whole trace by pi changes nothing else
+        par = HF_SET
+        clean = make_bare_trace(par, n=1201)
+        w_ref = math.pi * (clean.frequency_hz[0] + clean.frequency_hz[-1])
+        omega = TWO_PI * clean.frequency_hz
+        kappa = par["kappa_i"] + par["kappa_e"]
+        for seed in range(20):
+            rng = make_rng(seed, 0)
+            noise = 0.01 * (rng.standard_normal(1201) + 1j * rng.standard_normal(1201))
+            stage2 = []
+            for phase in (0.0, math.pi):
+                bg = BackgroundModel(0.93, 0.0, phase, 0.0, reference_frequency=w_ref)
+                vals = (clean.values + noise) * bg.evaluate(omega)
+                fit = fit_resonance(ComplexTrace(clean.frequency_hz, vals))
+                stage2.append(fit.extras["stage2_params"])
+            for name in ("omega0", "kappa_i", "kappa_e"):
+                assert abs(stage2[1][name] - stage2[0][name]) / kappa < 1e-8, (seed, name)
+
+    def test_diagnostics(self):
+        trace = make_bare_trace(HF_SET, n=1201, theta=0.05, sigma=0.01, seed=3)
+        fit = fit_resonance(trace)
+        diag = fit.extras["diagnostics"]
+        assert set(diag) == {"stage2_rounds", "stage2_stop",
+                             "stage3_iterations", "stage3_message"}
+        assert 1 <= diag["stage2_rounds"] <= 40
+        assert diag["stage2_stop"] in ("converged", "noise floor", "round cap")
+        assert diag["stage3_iterations"] == fit.iterations
+        assert diag["stage3_message"] == fit.message
+        # nested, so the flat report keeps its keys
+        assert not any(key.startswith("stage") for key in fit.as_dict())
+
+    @pytest.mark.parametrize("stage", [0, -1], ids=["stage2", "stage3"])
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, stage):
+        from photonpressure import fitting
+
+        calls = []
+        original = fitting.least_squares
+
+        def spy(residual, x0, **kwargs):
+            calls.append((residual, np.array(x0), kwargs.get("jac")))
+            return original(residual, x0, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", spy)
+        freq = np.linspace(5.8432e9, 5.8448e9, 601)
+        fit_resonance(make_bare_trace(HF_SET, n=601, theta=0.1,
+                                      background=linear_background(freq)))
+        residual, x0, jac = calls[stage]
+        assert jac is not None
+        rng = np.random.default_rng(4)
+        for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            u = x0 + 0.1 * rng.standard_normal(x0.size)
+            u[1:3] *= signs  # kappa_i, kappa_e enter through |.|
+            analytic = jac(u)
+            for j in range(u.size):
+                # central differences: omega0 sits on a ~4e10 rad/s carrier,
+                # so a forward step of the engine's size (1e-8 linewidths)
+                # resolves its column only to ~1e-4
+                h = np.zeros(u.size)
+                h[j] = 1e-4
+                column = (residual(u + h) - residual(u - h)) / 2e-4
+                err = np.linalg.norm(column - analytic[:, j]) / np.linalg.norm(analytic[:, j])
+                assert err < 1e-6, (signs, j, err)
+
     def test_uncertainty_scales_with_trace_length(self):
         sizes = (128, 512, 2048)
         sigmas = []
@@ -113,6 +178,46 @@ class TestFitResonanceBare:
         freq = np.linspace(5.84e9, 5.85e9, 8)
         with pytest.raises(DomainError):
             fit_resonance(ComplexTrace(freq, np.ones(8, complex)))
+
+
+def _baseline_phase_reference(omega, values, base_idx):
+    """Per-point reference for fitting._baseline_phase: phases keyed by index."""
+    segments = np.split(base_idx, np.where(np.diff(base_idx) > 1)[0] + 1)
+    segments.sort(key=len, reverse=True)
+    anchor = segments[0]
+    phase = {i: v for i, v in zip(anchor, np.unwrap(np.angle(values[anchor])))}
+    w = omega[anchor]
+    design = np.column_stack([np.ones_like(w), w - w.mean()])
+    coef, *_ = np.linalg.lstsq(design, np.fromiter(phase.values(), float), rcond=None)
+    for seg in segments[1:]:
+        seg_phase = np.unwrap(np.angle(values[seg]))
+        predicted = coef[0] + coef[1] * (omega[seg] - w.mean())
+        shift = 2.0 * np.pi * np.round(np.median(seg_phase - predicted) / (2.0 * np.pi))
+        for i, v in zip(seg, seg_phase - shift):
+            phase[i] = v
+    idx = np.array(sorted(phase))
+    return idx, np.array([phase[i] for i in idx])
+
+
+@pytest.mark.parametrize("gaps", [[(500, 700)], [(300, 600)], [(0, 100), (450, 500), (800, 850)]],
+                         ids=["one-gap", "equal-halves", "three-gaps"])
+def test_baseline_phase_matches_reference(gaps):
+    # an overcoupled dip winds the phase by a full turn across each gap, so
+    # the segments land on different branches and must be shifted
+    from photonpressure.fitting import _baseline_phase
+
+    omega = TWO_PI * np.linspace(5.8432e9, 5.8448e9, 900)
+    rng = np.random.default_rng(len(gaps))
+    phase = 9.0 * np.linspace(0, 1, 900) + 0.05 * rng.standard_normal(900)
+    mask = np.zeros(900, bool)
+    for a, b in gaps:
+        mask[a:b] = True
+        phase[b:] += TWO_PI
+    values = 0.9 * np.exp(1j * phase)
+    base_idx = np.where(~mask)[0]
+    idx, expected = _baseline_phase_reference(omega, values, base_idx)
+    assert np.array_equal(idx, base_idx)
+    assert np.array_equal(_baseline_phase(omega, values, base_idx), expected)
 
 
 class TestFitResonancePumped:

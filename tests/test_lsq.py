@@ -82,3 +82,44 @@ class TestNonlinear:
         result = least_squares(lambda p: p - 1.0, np.array([0.0]), names=("a",))
         with pytest.raises(KeyError):
             result.value("b")
+
+
+class TestAnalyticJacobian:
+    def test_same_minimum_with_fewer_evaluations(self):
+        rng = np.random.default_rng(1)
+        x = np.linspace(0, 1, 50)
+        data = np.exp(-3.0 * x) * 1.5 + 0.01 * rng.standard_normal(50)
+        calls = {"fd": 0, "jac": 0}
+
+        def counted(key):
+            def residual(p):
+                calls[key] += 1
+                return np.exp(-p[0] * x) * p[1] - data
+            return residual
+
+        def jac(p):
+            e = np.exp(-p[0] * x)
+            return np.column_stack([-x * e * p[1], e])
+
+        fd = least_squares(counted("fd"), np.array([0.5, 2.0]))
+        an = least_squares(counted("jac"), np.array([0.5, 2.0]), jac=jac)
+        assert fd.converged and an.converged
+        np.testing.assert_allclose(an.params, fd.params, rtol=1e-7)
+        np.testing.assert_allclose(an.uncertainties, fd.uncertainties, rtol=1e-5)
+        assert calls["jac"] + 2 * an.iterations <= calls["fd"]
+
+    def test_complex_jacobian_stacked_like_residual(self):
+        # r(p) = p0 * exp(i p1) - target; the engine stacks the complex
+        # (m, n) derivative as real rows above imaginary rows
+        target = 2.0 * np.exp(0.7j)
+
+        def residual(p):
+            return np.array([p[0] * np.exp(1j * p[1]) - target])
+
+        def jac(p):
+            rot = np.exp(1j * p[1])
+            return np.array([[rot, 1j * p[0] * rot]])
+
+        result = least_squares(residual, np.array([1.0, 0.0]), jac=jac)
+        assert result.converged
+        np.testing.assert_allclose(result.params, [2.0, 0.7], rtol=1e-10)
