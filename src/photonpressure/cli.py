@@ -32,7 +32,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      PhotonPressureError, TraceFormatError)
 from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
 from .lsq import FitResult
-from .presets import preset as load_preset
+from .presets import need, preset as load_preset
 from .synth import NoiseSpec, synth_psd, synth_s11
 from .traces import (SpectrumTrace, read_complex_trace, read_params,
                      read_points, read_spectrum_trace, write_columns,
@@ -74,14 +74,6 @@ def build_config(args) -> dict:
     return cfg
 
 
-def need(cfg: dict, key: str, default=None) -> float:
-    if key in cfg:
-        return float(cfg[key])
-    if default is not None:
-        return float(default)
-    raise ConfigError(f"missing parameter {key!r}")
-
-
 def parse_grid(spec: str, default=None):
     if spec is None:
         if default is None:
@@ -104,9 +96,9 @@ def parse_grid(spec: str, default=None):
 def resolve_detuning(cfg: dict) -> float:
     """Pump detuning from the cavity, possibly via a sideband offset."""
     if "drive.detuning" in cfg:
-        return float(cfg["drive.detuning"])
+        return need(cfg, "drive.detuning")
     lf = need(cfg, "lf.omega0")
-    offset = float(cfg.get("drive.sideband_offset", 0.0))
+    offset = need(cfg, "drive.sideband_offset", 0.0)
     sideband = str(cfg.get("drive.sideband", "red"))
     if sideband not in ("red", "blue"):
         raise ConfigError(f"drive.sideband must be red or blue, not {sideband!r}")
@@ -127,7 +119,7 @@ def detection_from(cfg: dict) -> noise.DetectionChain:
 
 def noise_from(cfg: dict, seed: int) -> NoiseSpec | None:
     kind = str(cfg.get("noise.kind", "none"))
-    sigma = float(cfg.get("noise.sigma", 0.0))
+    sigma = need(cfg, "noise.sigma", 0.0)
     if kind == "none" or sigma == 0.0:
         return None
     return NoiseSpec(kind, sigma, seed=seed)
@@ -203,11 +195,11 @@ def cmd_params(args) -> int:
         if "loop.inductance" in cfg and "junction.critical_current" in cfg:
             report["squid.screening"] = squid.screening_parameter(
                 need(cfg, "loop.inductance"), need(cfg, "junction.critical_current"))
-        phi_zpf = cfg.get("coupling.zero_point_flux_phi0",
-                          report.get("coupling.zero_point_flux_phi0"))
-        if phi_zpf is not None:
+        key = "coupling.zero_point_flux_phi0"
+        if key in cfg or key in report:
+            phi_zpf = need(cfg, key, report.get(key))
             for phi_b in (0.0, 0.14, 0.5):
-                g0 = squid.single_photon_coupling(phi_b, spec, float(phi_zpf))
+                g0 = squid.single_photon_coupling(phi_b, spec, phi_zpf)
                 report[f"coupling.g0_at_{phi_b:g}"] = g0
 
     if not report:
@@ -286,7 +278,7 @@ def cmd_psd(args) -> int:
         n_th = need(cfg, "thermal.n_th")
         cfg["thermal.n_lf"] = (n_th + 1.0) / (1.0 - coop) - 1.0
     detection = detection_from(cfg)
-    peak = (need(cfg, "hf.omega0") + float(cfg["drive.detuning"])
+    peak = (need(cfg, "hf.omega0") + need(cfg, "drive.detuning")
             - need(cfg, "lf.omega0")) / TWO_PI
     grid = parse_grid(args.grid, peak + np.linspace(-1.5e5, 1.5e5, args.points))
     trace = synth_psd(cfg, grid, detection, noise=noise_from(cfg, args.seed))
@@ -330,9 +322,9 @@ def cmd_fit(args) -> int:
                       "gamma0": need(cfg, "lf.gamma0"),
                       "detuning": resolve_detuning(cfg)}
             if "drive.g" in cfg:
-                pumped["g"] = float(cfg["drive.g"])
+                pumped["g"] = need(cfg, "drive.g")
             if "lf.omega0" in cfg:
-                pumped["lf_frequency"] = float(cfg["lf.omega0"])
+                pumped["lf_frequency"] = need(cfg, "lf.omega0")
         fit = fit_resonance(trace, model=args.model, pumped=pumped)
         if args.out:
             write_complex_trace(str(args.out) + ".trace",
@@ -342,9 +334,9 @@ def cmd_fit(args) -> int:
     elif args.model == "flux_arch":
         # columns: flux bias in PHI_0 units, resonance frequency in Hz
         _, data = read_points(args.infile, n_columns=2)
-        total_l = cfg.get("squid.total_inductance")
-        fit = fit_flux_arch(data[:, 0], TWO_PI * data[:, 1],
-                            total_inductance=float(total_l) if total_l else None)
+        total_l = (need(cfg, "squid.total_inductance")
+                   if cfg.get("squid.total_inductance") else None)
+        fit = fit_flux_arch(data[:, 0], TWO_PI * data[:, 1], total_inductance=total_l)
     elif args.model == "backaction":
         _, data = read_points(args.infile, n_columns=3)
         fit = fit_backaction(TWO_PI * data[:, 0], TWO_PI * data[:, 1],
@@ -430,17 +422,27 @@ def cmd_sweep(args) -> int:
 
 # --- parser and entry point --------------------------------------------------
 
+def _int_at_least(lowest: int):
+    """argparse type: an integer >= ``lowest`` (anything else exits 2)."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+    return integer
+
+
 def _add_common(sub, grid_default=True):
     sub.add_argument("--preset", help="named parameter set")
     sub.add_argument("--params", help="flat JSON parameter file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one parameter (repeatable)")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int_at_least(0), default=0)
     sub.add_argument("--units", choices=("si", "photon", "dbm"), default="photon")
     if grid_default:
         sub.add_argument("--grid", help="START:STOP:POINTS in Hz")
-        sub.add_argument("--points", type=int, default=2001,
+        sub.add_argument("--points", type=_int_at_least(2), default=2001,
                          help="points of the default grid")
 
 

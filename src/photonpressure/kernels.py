@@ -1,73 +1,26 @@
-"""Hot numeric kernels with a numba fast path and a numpy fallback.
+"""Hot numeric kernels: the reflection responses and the pump-frame spectrum.
 
-Every kernel exists once, written in array-friendly numpy style; the numba
-variant is the same function compiled with ``@njit``.  The active backend is
-chosen by the ``PHOTONPRESSURE_BACKEND`` environment variable:
-
-    PHOTONPRESSURE_BACKEND=numpy   force the pure-numpy path
-    PHOTONPRESSURE_BACKEND=numba   force the jitted path (error if missing)
-
-Unset, numba is used when importable.  Both paths evaluate the same
-expression tree per grid point; ``benchmarks/bench_kernels.py`` compares them.
+Each kernel evaluates one closed-form expression elementwise on a float64
+grid of angular frequencies, with scalar rates and frequencies in rad/s, and
+returns a new array.  They do no validation: :mod:`dynamics` and :mod:`noise`
+check the physical domain, coerce the grid to a flat float64 array and call
+them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        return lambda f: f
+__all__ = ["s11_bare", "s11_pumped", "lf_s11_pumped", "psd_blue"]
 
 
-_ENV_VAR = "PHOTONPRESSURE_BACKEND"
-_backend = None
-
-
-def _initial_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice in ("numpy", "numba"):
-        if choice == "numba" and not _HAVE_NUMBA:
-            raise ImportError(f"{_ENV_VAR}=numba but numba is not importable")
-        return choice
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    global _backend
-    if _backend is None:
-        _backend = _initial_backend()
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Override the backend at runtime (used by tests and benchmarks)."""
-    global _backend
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ImportError("numba is not importable")
-    _backend = name
-
-
-# --- kernel bodies (numpy style, jittable as-is) ---------------------------
-
-def _s11_bare(omega, omega0, kappa_i, kappa_e):
+def s11_bare(omega, omega0, kappa_i, kappa_e):
     return 1.0 - 2.0 * kappa_e / (kappa_i + kappa_e + 2j * (omega - omega0))
 
 
-def _s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_freq, gamma0, g, detuning):
+def s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_freq, gamma0, g, detuning):
     # evaluated in the rotating frame of the intracavity field, then
-    # conjugated so that g = 0 reproduces _s11_bare (the +2i*Delta sign
+    # conjugated so that g = 0 reproduces s11_bare (the +2i*Delta sign
     # convention of the bare response) exactly
     kappa = kappa_i + kappa_e
     om = omega_probe - (omega0 + detuning)          # offset from the pump
@@ -79,8 +32,8 @@ def _s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_freq, gamma0, g, detun
     return np.conj(s)
 
 
-def _lf_s11_pumped(omega, lf_freq, gamma_i, gamma_e, g, detuning, kappa):
-    # same convention choice as _s11_pumped: conjugate the rotating-frame
+def lf_s11_pumped(omega, lf_freq, gamma_i, gamma_e, g, detuning, kappa):
+    # same convention choice as s11_pumped: conjugate the rotating-frame
     # result so g = 0 is exactly the bare reflection
     gamma0 = gamma_i + gamma_e
     chi_c = 1.0 / (0.5 * kappa - 1j * (detuning + omega))
@@ -90,8 +43,8 @@ def _lf_s11_pumped(omega, lf_freq, gamma_i, gamma_e, g, detuning, kappa):
     return np.conj(s)
 
 
-def _psd_blue(omega, kappa, kappa_e, gamma0, lf_freq, g, detuning,
-              n_lf, n_cav, n_add_eff):
+def psd_blue(omega, kappa, kappa_e, gamma0, lf_freq, g, detuning,
+             n_lf, n_cav, n_add_eff):
     chi_c = 1.0 / (0.5 * kappa + 1j * (omega + detuning))
     chi_lf = 1.0 / (0.5 * gamma0 + 1j * (omega + lf_freq))
     abs2_c = chi_c.real ** 2 + chi_c.imag ** 2
@@ -100,40 +53,3 @@ def _psd_blue(omega, kappa, kappa_e, gamma0, lf_freq, g, detuning,
     num = kappa_e * g ** 2 * abs2_lf * abs2_c * gamma0 * (n_lf + 1.0) \
         + kappa_e * abs2_c * kappa * n_cav
     return 0.5 + n_add_eff + num / (loop.real ** 2 + loop.imag ** 2)
-
-
-_NUMPY_IMPLS = {
-    "s11_bare": _s11_bare,
-    "s11_pumped": _s11_pumped,
-    "lf_s11_pumped": _lf_s11_pumped,
-    "psd_blue": _psd_blue,
-}
-
-_NUMBA_IMPLS = (
-    {name: njit(cache=True)(fn) for name, fn in _NUMPY_IMPLS.items()}
-    if _HAVE_NUMBA else {}
-)
-
-
-def _dispatch(name):
-    np_impl = _NUMPY_IMPLS[name]
-    nb_impl = _NUMBA_IMPLS.get(name)
-
-    def run(grid, *scalars):
-        grid = np.ascontiguousarray(grid, dtype=np.float64)
-        args = tuple(float(s) for s in scalars)
-        if backend() == "numba":
-            return nb_impl(grid, *args)
-        return np_impl(grid, *args)
-
-    run.__name__ = name
-    return run
-
-
-s11_bare = _dispatch("s11_bare")
-s11_pumped = _dispatch("s11_pumped")
-lf_s11_pumped = _dispatch("lf_s11_pumped")
-psd_blue = _dispatch("psd_blue")
-
-__all__ = ["backend", "set_backend", "s11_bare", "s11_pumped",
-           "lf_s11_pumped", "psd_blue"]

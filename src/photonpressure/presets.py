@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ConfigError
+
 TWO_PI = 2.0 * math.pi
 
 # backaction scene: the damping peak 2pi*22 kHz with the effective cavity
@@ -176,6 +178,27 @@ def preset(name: str) -> dict:
         return dict(_PRESETS[name])
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}") from None
+
+
+def need(params: dict, key: str, default=None) -> float:
+    """Value of ``key`` in a flat parameter set, as a finite float.
+
+    ``default`` is used when the key is absent; without one a missing key is
+    a :class:`ConfigError`, and so is a value that is not a finite number.
+    """
+    if key in params:
+        value = params[key]
+    elif default is not None:
+        value = default
+    else:
+        raise ConfigError(f"missing parameter {key!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"parameter {key!r} must be a finite number, not {value!r}")
+    return number
 
 
 def export_catalog(path) -> None:

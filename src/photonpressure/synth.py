@@ -3,8 +3,9 @@
 Forward models for the complex reflection traces and blue-pump spectra, with
 an optional instrumental background and seeded noise, so that every fitting
 routine has a round-trip oracle.  Parameter sets are flat dotted-key
-dictionaries (the same schema the presets and the CLI use); a missing key is
-reported by its path.
+dictionaries (the same schema the presets and the CLI use), read through
+:func:`presets.need`: a missing key or a value that is not a finite number is
+a :class:`ConfigError` naming its path.
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 identical inputs give bit-identical traces, and independent streams are safe
@@ -22,6 +23,7 @@ from .errors import ConfigError, DomainError
 from .fitting import BackgroundModel
 from .noise import DetectionChain, psd_blue_pump
 from .constants import hbar
+from .presets import need
 from .traces import ComplexTrace, SpectrumTrace
 
 __all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd"]
@@ -43,6 +45,8 @@ class NoiseSpec:
             raise DomainError(f"noise kind must be one of {_NOISE_KINDS}")
         if self.sigma < 0:
             raise DomainError("noise sigma must be >= 0")
+        if not 0 <= self.seed < 2 ** 128:
+            raise DomainError("noise seed must be in [0, 2**128)")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -60,14 +64,6 @@ def _apply_noise(values, noise: NoiseSpec | None):
     return values * (1.0 + noise.sigma * rng.standard_normal(values.size))
 
 
-def _get(params: dict, key: str, default=None):
-    if key in params:
-        return float(params[key])
-    if default is not None:
-        return float(default)
-    raise ConfigError(f"missing parameter {key!r}")
-
-
 def synth_s11(model: str, params: dict, grid_hz, background: BackgroundModel | None = None,
               noise: NoiseSpec | None = None) -> ComplexTrace:
     """Synthesize a complex reflection trace.
@@ -81,23 +77,23 @@ def synth_s11(model: str, params: dict, grid_hz, background: BackgroundModel | N
     omega = 2.0 * np.pi * grid
     if model == "bare":
         if "hf.omega0" in params:
-            vals = s11_bare(omega, _get(params, "hf.omega0"),
-                            _get(params, "hf.kappa_i"), _get(params, "hf.kappa_e"))
+            vals = s11_bare(omega, need(params, "hf.omega0"),
+                            need(params, "hf.kappa_i"), need(params, "hf.kappa_e"))
         else:
-            vals = s11_bare(omega, _get(params, "lf.omega0"),
-                            _get(params, "lf.gamma_i"), _get(params, "lf.gamma_e"))
+            vals = s11_bare(omega, need(params, "lf.omega0"),
+                            need(params, "lf.gamma_i"), need(params, "lf.gamma_e"))
     elif model == "pumped":
-        vals = s11_pumped(omega, _get(params, "hf.omega0"),
-                          _get(params, "hf.kappa_i"), _get(params, "hf.kappa_e"),
-                          _get(params, "lf.omega0"), _get(params, "lf.gamma0"),
-                          _get(params, "drive.g"), _get(params, "drive.detuning"))
+        vals = s11_pumped(omega, need(params, "hf.omega0"),
+                          need(params, "hf.kappa_i"), need(params, "hf.kappa_e"),
+                          need(params, "lf.omega0"), need(params, "lf.gamma0"),
+                          need(params, "drive.g"), need(params, "drive.detuning"))
     elif model == "lf_pumped":
-        kappa = _get(params, "hf.kappa_i", 0.0) + _get(params, "hf.kappa_e", 0.0)
+        kappa = need(params, "hf.kappa_i", 0.0) + need(params, "hf.kappa_e", 0.0)
         if kappa <= 0:
-            kappa = _get(params, "drive.kappa_eff")
-        vals = lf_s11_pumped(omega, _get(params, "lf.omega0"),
-                             _get(params, "lf.gamma_i"), _get(params, "lf.gamma_e"),
-                             _get(params, "drive.g"), _get(params, "drive.detuning"),
+            kappa = need(params, "drive.kappa_eff")
+        vals = lf_s11_pumped(omega, need(params, "lf.omega0"),
+                             need(params, "lf.gamma_i"), need(params, "lf.gamma_e"),
+                             need(params, "drive.g"), need(params, "drive.detuning"),
                              kappa)
     else:
         raise ConfigError(f"unknown reflection model {model!r}")
@@ -119,20 +115,20 @@ def synth_psd(params: dict, grid_hz, detection: DetectionChain,
     gain * hbar * omega0 (narrow band, fixed photon energy).
     """
     grid = np.asarray(grid_hz, dtype=float)
-    omega0 = _get(params, "hf.omega0")
-    detuning = _get(params, "drive.detuning",
-                    _get(params, "lf.omega0") + _get(params, "drive.sideband_offset", 0.0))
+    omega0 = need(params, "hf.omega0")
+    detuning = need(params, "drive.detuning",
+                    need(params, "lf.omega0") + need(params, "drive.sideband_offset", 0.0))
     offsets = 2.0 * np.pi * grid - (omega0 + detuning)
     photons = psd_blue_pump(
         offsets,
-        kappa=_get(params, "hf.kappa_i") + _get(params, "hf.kappa_e"),
-        kappa_e=_get(params, "hf.kappa_e"),
-        gamma0=_get(params, "lf.gamma0"),
-        lf_frequency=_get(params, "lf.omega0"),
-        g=_get(params, "drive.g"),
+        kappa=need(params, "hf.kappa_i") + need(params, "hf.kappa_e"),
+        kappa_e=need(params, "hf.kappa_e"),
+        gamma0=need(params, "lf.gamma0"),
+        lf_frequency=need(params, "lf.omega0"),
+        g=need(params, "drive.g"),
         detuning=detuning,
-        n_lf=_get(params, "thermal.n_lf"),
-        n_cavity=_get(params, "thermal.n_cavity", 0.0),
+        n_lf=need(params, "thermal.n_lf"),
+        n_cavity=need(params, "thermal.n_cavity", 0.0),
         n_add_eff=detection.effective_added_photons,
     )
     values = detection.total_gain * hbar * omega0 * photons

@@ -47,6 +47,22 @@ class TestExitCodes:
                    "--set", "drive.g=1.0",
                    "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["respond", "--preset", "strong_coupling_D", "--set", "hf.kappa_i=abc"],
+        ["nms", "--preset", "strong_coupling_D", "--set", "lf.gamma0=nan"],
+        ["backaction", "--preset", "backaction", "--set", "drive.kappa_eff=nan"],
+        ["nms", "--preset", "strong_coupling_D", "--set", "lf.omega0=inf"],
+        ["respond", "--preset", "strong_coupling_D", "--points", "-5"],
+        ["synth", "--model", "bare", "--preset", "hf_fit",
+         "--set", "noise.kind=additive-complex-gaussian", "--set", "noise.sigma=0.01",
+         "--seed", "-1"],
+    ], ids=["non-numeric", "nan-gamma0", "nan-kappa_eff", "inf-omega0",
+            "negative-points", "negative-seed"])
+    def test_bad_value_is_config_error_and_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "out.dat"
+        assert run(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestReproducibility:
     def test_identical_bytes_for_identical_config(self, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from photonpressure.dynamics import (OperatingPoint, backaction_sideband,
                                      cooperativity)
-from photonpressure.errors import DomainError
-from photonpressure.presets import experiment_presets, export_catalog, preset
+from photonpressure.errors import ConfigError, DomainError
+from photonpressure.presets import experiment_presets, export_catalog, need, preset
 
 TWO_PI = 2 * math.pi
 
@@ -27,6 +27,11 @@ class TestCatalog:
         one = preset("backaction")
         one["drive.g"] = 0.0
         assert preset("backaction")["drive.g"] > 0
+
+    def test_every_preset_value_reads_as_finite(self):
+        for name, values in experiment_presets().items():
+            for key in values:
+                assert math.isfinite(need(values, key)), (name, key)
 
     def test_export_is_flat_json(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -87,3 +92,16 @@ class TestOperatingPoint:
         with pytest.raises(DomainError):
             OperatingPoint(0.5, TWO_PI * 5.45e9, -TWO_PI * 391e6, 0.0,
                            -1.0, 0.0, 0.0, TWO_PI * 214.4e3)
+
+
+class TestNeed:
+    def test_value_default_and_missing(self):
+        assert need({"a.b": "1.5"}, "a.b") == 1.5
+        assert need({}, "a.b", 2) == 2.0
+        with pytest.raises(ConfigError, match="missing parameter 'a.b'"):
+            need({}, "a.b")
+
+    @pytest.mark.parametrize("value", ["abc", None, math.nan, math.inf, -math.inf])
+    def test_bad_value_names_its_key(self, value):
+        with pytest.raises(ConfigError, match="'a.b'"):
+            need({"a.b": value}, "a.b")

@@ -183,3 +183,8 @@ class TestNoiseSpecValidation:
     def test_sigma(self):
         with pytest.raises(DomainError):
             NoiseSpec("none", -0.1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_generator_key_range(self, seed):
+        with pytest.raises(DomainError):
+            NoiseSpec("additive-complex-gaussian", 0.01, seed)
