@@ -95,13 +95,13 @@ def parse_grid(spec: str, default=None):
 
 def resolve_detuning(cfg: dict) -> float:
     """Pump detuning from the cavity, possibly via a sideband offset."""
+    sideband = str(cfg.get("drive.sideband", "red"))
+    if sideband not in ("red", "blue"):
+        raise ConfigError(f"drive.sideband must be red or blue, not {sideband!r}")
     if "drive.detuning" in cfg:
         return need(cfg, "drive.detuning")
     lf = need(cfg, "lf.omega0")
     offset = need(cfg, "drive.sideband_offset", 0.0)
-    sideband = str(cfg.get("drive.sideband", "red"))
-    if sideband not in ("red", "blue"):
-        raise ConfigError(f"drive.sideband must be red or blue, not {sideband!r}")
     sign = -1.0 if sideband == "red" else 1.0
     return sign * lf + offset
 

@@ -9,7 +9,8 @@ from the pump, Omega = omega_probe - omega_pump; the low-frequency side is
 probed directly at its own (absolute) frequency.
 
 All functions are pure and accept scalars or arrays for the frequency
-argument; large arrays are evaluated through the selected kernel backend.
+argument.  The reflection responses check their rates here and evaluate the
+closed forms in :mod:`kernels`.
 """
 
 from __future__ import annotations

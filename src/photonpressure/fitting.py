@@ -15,9 +15,12 @@ reflection trace on top of a slowly varying instrumental background:
    (2011)) roughly halves its rounds;
 3. re-fit the full model jointly, seeded by stages 1-2.
 
-The bare model passes its analytic Jacobian to the engine in stages 2 and 3;
-the pumped model uses finite differences.  ``extras["diagnostics"]`` reports
-the stage-2 rounds and stop reason and the stage-3 iterations and message.
+Both models pass their analytic Jacobian to the engine in stages 2 and 3.
+Each stage-2 round's inner fit stops at a tolerance scaled to the previous
+round's background change, so early rounds stop loose and the last ones run
+at the full 1e-11 step / 1e-12 cost tolerance.  ``extras["diagnostics"]``
+reports the stage-2 rounds, stop reason and total iterations and the stage-3
+iterations and message.
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
@@ -139,12 +142,11 @@ def _baseline_phase(omega, values, base_idx):
     segments = np.split(base_idx, np.where(np.diff(base_idx) > 1)[0] + 1)
     phases = [np.unwrap(np.angle(values[seg])) for seg in segments]
     k = max(range(len(segments)), key=lambda i: segments[i].size)
-    w = omega[segments[k]]
-    design = np.column_stack([np.ones_like(w), w - w.mean()])
-    coef, *_ = np.linalg.lstsq(design, phases[k], rcond=None)
+    w_mid = omega[segments[k]].mean()
+    c0, c1 = _line_fit(omega[segments[k]] - w_mid, phases[k])
     for i, seg in enumerate(segments):
         if i != k:
-            predicted = coef[0] + coef[1] * (omega[seg] - w.mean())
+            predicted = c0 + c1 * (omega[seg] - w_mid)
             phases[i] = phases[i] - 2.0 * np.pi * np.round(
                 np.median(phases[i] - predicted) / (2.0 * np.pi))
     return np.concatenate(phases)
@@ -154,17 +156,26 @@ def _background_stage(omega, values, mask, w_ref):
     """Linear amplitude/phase background from the unmasked baseline."""
     base_idx = np.where(~mask)[0]
     w = omega[base_idx] - w_ref
-    design = np.column_stack([np.ones_like(w), w])
-    amp_coef, *_ = np.linalg.lstsq(design, np.abs(values[base_idx]), rcond=None)
-    ph_coef, *_ = np.linalg.lstsq(design, _baseline_phase(omega, values, base_idx),
-                                  rcond=None)
+    a0, a1 = _line_fit(w, np.abs(values[base_idx]))
+    b0, b1 = _line_fit(w, _baseline_phase(omega, values, base_idx))
     return BackgroundModel(
-        amplitude_offset=float(amp_coef[0]),
-        amplitude_slope=float(amp_coef[1]),
-        phase_offset=float(_wrap_angle(ph_coef[0])),
-        phase_slope=float(ph_coef[1]),
+        amplitude_offset=float(a0),
+        amplitude_slope=float(a1),
+        phase_offset=float(_wrap_angle(b0)),
+        phase_slope=float(b1),
         reference_frequency=w_ref,
     )
+
+
+def _line_fit(x, y):
+    """Intercept and slope of the least-squares line y = c0 + c1*x.
+
+    Solved about the mean of x, so an offset in x costs no precision.
+    """
+    x_mid, y_mid = x.mean(), y.mean()
+    dx = x - x_mid
+    c1 = (dx @ (y - y_mid)) / (dx @ dx)
+    return y_mid - c1 * x_mid, c1
 
 
 def _wrap_angle(a):
@@ -279,7 +290,37 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
                                    gamma0_fix, g, detuning_fix)
             return 1.0 - dip * np.exp(1j * theta)
 
-        resonance_jac = None
+        def resonance_jac(pars):
+            # d/d(omega0, kappa_i, g, lf_frequency, theta) of resonance(omega,
+            # pars), from the kernel's intermediates.  With the pump offset
+            # Om = omega - omega0 - detuning, a = 2i lf g^2 and
+            # p = lf^2 - Om^2 - i Om gamma0, the kernel evaluates
+            # s = 1 - ke chi_c (1 + t), t = a chi_c chi_lf,
+            # 1/chi_lf = p - a (chi_c - chi_cm), and resonance is
+            # 1 - conj(1 - s) e^{i theta}: column j is conj(ds/dp_j) e^{i theta},
+            # and d/dtheta is conj(i (1 - s)) e^{i theta}
+            om0, ki, g, lf, theta = pars
+            om = omega - (om0 + detuning_fix)
+            kappa = abs(ki) + ke_fix
+            chi_c = 1.0 / (0.5 * kappa - 1j * (detuning_fix + om))
+            chi_cm = 1.0 / (0.5 * kappa + 1j * (detuning_fix - om))
+            a = 2j * lf * g ** 2
+            p = lf ** 2 - om ** 2 - 1j * om * gamma0_fix
+            chi_lf = 1.0 / (p - a * (chi_c - chi_cm))
+            t = a * chi_c * chi_lf
+            c2 = chi_c * chi_c
+            f = ke_fix * c2 * chi_lf * chi_lf
+            # 2 ds/dkappa; omega0 and kappa move chi_c and chi_cm alike, so
+            # ds/domega0 = -ds/dOm shares it
+            ds_dk2 = ke_fix * c2 * (1.0 + 2.0 * t) + a * a * f * (c2 - chi_cm * chi_cm)
+            rot = np.exp(1j * theta)
+            return np.column_stack([np.conj(col) * rot for col in (
+                1j * ds_dk2 + a * f * (2.0 * om + 1j * gamma0_fix),
+                0.5 * _sign(ki) * ds_dk2,
+                -4j * lf * g * p * f,
+                -2j * g ** 2 * (p - 2.0 * lf ** 2) * f,
+                1j * ke_fix * chi_c * (1.0 + t),
+            )])
 
     # alternate the ideal-response fit with a tail-free background
     # re-estimate (dividing the fitted resonance out of the data) so the
@@ -298,10 +339,8 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
     def stage2_residual(u):
         return resonance(omega, ref2 + scale2 * u) - corrected
 
-    stage2_jac = None
-    if resonance_jac is not None:
-        def stage2_jac(u):
-            return resonance_jac(ref2 + scale2 * u) * scale2
+    def stage2_jac(u):
+        return resonance_jac(ref2 + scale2 * u) * scale2
 
     bg_est = bg1
     x = scaled(bg1)
@@ -309,10 +348,16 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
     guess = (phys0 - ref2) / scale2
     prev_delta = np.inf
     stop = "round cap"
+    stage2_iterations = 0
     for rounds in range(1, _STAGE2_ROUNDS + 1):
         corrected = values / bg_est.evaluate(omega)
+        # an inner fit need only be as exact as the background it sits on:
+        # early rounds stop loose, the last ones at the full 1e-11 / 1e-12
+        tol = min(1e-4, 1e-3 * prev_delta)
         fit2 = least_squares(stage2_residual, guess, jac=stage2_jac,
-                             names=stage2_names, step_tol=1e-11, step_floor=1e-8)
+                             names=stage2_names, step_tol=max(1e-11, tol),
+                             cost_tol=max(1e-12, tol * tol), step_floor=1e-8)
+        stage2_iterations += fit2.iterations
         guess = fit2.params
         bg_new = _background_stage(
             omega, values / resonance(omega, ref2 + scale2 * fit2.params),
@@ -351,17 +396,15 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
         a0, a1, b0, b1 = pars[n_res:]
         return res * (a0 + a1 * w) * np.exp(1j * (b0 + b1 * w))
 
-    stage3_jac = None
-    if resonance_jac is not None:
-        def stage3_jac(u):
-            pars = ref3 + scale3 * u
-            res = resonance(omega, pars[:n_res])
-            a0, a1, b0, b1 = pars[n_res:]
-            rot = np.exp(1j * (b0 + b1 * w))
-            bg = (a0 + a1 * w) * rot
-            cols = np.column_stack([res * rot, res * w * rot,
-                                    1j * res * bg, 1j * w * res * bg])
-            return np.hstack([resonance_jac(pars[:n_res]) * bg[:, None], cols]) * scale3
+    def stage3_jac(u):
+        pars = ref3 + scale3 * u
+        res = resonance(omega, pars[:n_res])
+        a0, a1, b0, b1 = pars[n_res:]
+        rot = np.exp(1j * (b0 + b1 * w))
+        bg = (a0 + a1 * w) * rot
+        cols = np.column_stack([res * rot, res * w * rot,
+                                1j * res * bg, 1j * w * res * bg])
+        return np.hstack([resonance_jac(pars[:n_res]) * bg[:, None], cols]) * scale3
 
     fit3 = least_squares(lambda u: full_model(ref3 + scale3 * u) - values,
                          (phys0 - ref3) / scale3, jac=stage3_jac, names=names,
@@ -395,6 +438,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
     fit3.extras["diagnostics"] = {
         "stage2_rounds": rounds,
         "stage2_stop": stop,
+        "stage2_iterations": stage2_iterations,
         "stage3_iterations": fit3.iterations,
         "stage3_message": fit3.message,
     }

@@ -8,10 +8,12 @@ max(1e-8*|p|, step_floor), unless the caller passes ``jac``: a function of
 the parameter vector returning the (m, n) derivative of the residual, real
 or complex like the residual itself and stacked the same way (real rows,
 then imaginary rows).  An analytic ``jac`` saves the n extra residual
-evaluations of every iteration.  Convergence is declared when the relative
-parameter step drops below ``step_tol`` (default 1e-9) or the relative cost
-decrease below ``cost_tol`` (default 1e-12).  Running out of iterations
-returns a non-converged result with diagnostics instead of raising.
+evaluations of every iteration; ``fit_resonance`` passes one for both of its
+models, while the Lorentzian, backaction and flux-arch fits use the forward
+differences.  Convergence is declared when the relative parameter step
+drops below ``step_tol`` (default 1e-9) or the relative cost decrease below
+``cost_tol`` (default 1e-12).  Running out of iterations returns a
+non-converged result with diagnostics instead of raising.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class FitResult:
 def _stack(values) -> np.ndarray:
     values = np.atleast_1d(np.asarray(values))
     if np.iscomplexobj(values):
-        return np.concatenate([values.real, values.imag]).astype(float)
+        return np.concatenate([values.real, values.imag], dtype=float)
     return values.astype(float)
 
 

@@ -56,8 +56,9 @@ class TestExitCodes:
         ["synth", "--model", "bare", "--preset", "hf_fit",
          "--set", "noise.kind=additive-complex-gaussian", "--set", "noise.sigma=0.01",
          "--seed", "-1"],
+        ["respond", "--preset", "strong_coupling_D", "--set", "drive.sideband=green"],
     ], ids=["non-numeric", "nan-gamma0", "nan-kappa_eff", "inf-omega0",
-            "negative-points", "negative-seed"])
+            "negative-points", "negative-seed", "unknown-sideband"])
     def test_bad_value_is_config_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2

@@ -45,6 +45,54 @@ def linear_background(freq_hz):
                            reference_frequency=w_ref)
 
 
+def make_pumped_trace(scene, n=2401):
+    """Noiseless transparency trace of ``scene`` on a linear background, and
+    the fixed rates a pumped fit takes."""
+    om0 = scene["hf.omega0"]
+    freq = np.linspace(om0 / TWO_PI - 1.2e6, om0 / TWO_PI + 1.2e6, n)
+    vals = s11_pumped(TWO_PI * freq, om0, scene["hf.kappa_i"], scene["hf.kappa_e"],
+                      scene["lf.omega0"], scene["lf.gamma0"], scene["drive.g"],
+                      scene["drive.detuning"])
+    bg = linear_background(freq)
+    fixed = {"kappa_e": scene["hf.kappa_e"], "gamma0": scene["lf.gamma0"],
+             "detuning": scene["drive.detuning"]}
+    return ComplexTrace(freq, vals * bg.evaluate(TWO_PI * freq)), fixed
+
+
+def check_stage_jacobian(monkeypatch, stage, trace, **fit_kwargs):
+    """Fit ``trace``; every engine call must carry an analytic Jacobian, and
+    the one of call ``stage`` must match central differences of its residual
+    at 1e-6, on either side of zero for parameters 1 and 2 (bare: kappa_i,
+    kappa_e; pumped: kappa_i, g), which enter through |.| or squared."""
+    from photonpressure import fitting
+
+    calls = []
+    original = fitting.least_squares
+
+    def spy(residual, x0, **kwargs):
+        calls.append((residual, np.array(x0), kwargs.get("jac")))
+        return original(residual, x0, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", spy)
+    fit_resonance(trace, **fit_kwargs)
+    assert all(jac is not None for *_, jac in calls)
+    residual, x0, jac = calls[stage]
+    rng = np.random.default_rng(4)
+    for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        u = x0 + 0.1 * rng.standard_normal(x0.size)
+        u[1:3] *= signs
+        analytic = jac(u)
+        for j in range(u.size):
+            # central differences: omega0 sits on a ~4e10 rad/s carrier,
+            # so a forward step of the engine's size (1e-8 linewidths)
+            # resolves its column only to ~1e-4
+            h = np.zeros(u.size)
+            h[j] = 1e-4
+            column = (residual(u + h) - residual(u - h)) / 2e-4
+            err = np.linalg.norm(column - analytic[:, j]) / np.linalg.norm(analytic[:, j])
+            assert err < 1e-6, (signs, j, err)
+
+
 class TestFitResonanceBare:
     @pytest.mark.parametrize("par", [HF_SET, LF_SET], ids=["hf", "lf"])
     def test_noiseless_recovery_with_background(self, par):
@@ -115,9 +163,10 @@ class TestFitResonanceBare:
         trace = make_bare_trace(HF_SET, n=1201, theta=0.05, sigma=0.01, seed=3)
         fit = fit_resonance(trace)
         diag = fit.extras["diagnostics"]
-        assert set(diag) == {"stage2_rounds", "stage2_stop",
+        assert set(diag) == {"stage2_rounds", "stage2_stop", "stage2_iterations",
                              "stage3_iterations", "stage3_message"}
         assert 1 <= diag["stage2_rounds"] <= 40
+        assert diag["stage2_rounds"] <= diag["stage2_iterations"]
         assert diag["stage2_stop"] in ("converged", "noise floor", "round cap")
         assert diag["stage3_iterations"] == fit.iterations
         assert diag["stage3_message"] == fit.message
@@ -126,35 +175,9 @@ class TestFitResonanceBare:
 
     @pytest.mark.parametrize("stage", [0, -1], ids=["stage2", "stage3"])
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, stage):
-        from photonpressure import fitting
-
-        calls = []
-        original = fitting.least_squares
-
-        def spy(residual, x0, **kwargs):
-            calls.append((residual, np.array(x0), kwargs.get("jac")))
-            return original(residual, x0, **kwargs)
-
-        monkeypatch.setattr(fitting, "least_squares", spy)
         freq = np.linspace(5.8432e9, 5.8448e9, 601)
-        fit_resonance(make_bare_trace(HF_SET, n=601, theta=0.1,
-                                      background=linear_background(freq)))
-        residual, x0, jac = calls[stage]
-        assert jac is not None
-        rng = np.random.default_rng(4)
-        for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
-            u = x0 + 0.1 * rng.standard_normal(x0.size)
-            u[1:3] *= signs  # kappa_i, kappa_e enter through |.|
-            analytic = jac(u)
-            for j in range(u.size):
-                # central differences: omega0 sits on a ~4e10 rad/s carrier,
-                # so a forward step of the engine's size (1e-8 linewidths)
-                # resolves its column only to ~1e-4
-                h = np.zeros(u.size)
-                h[j] = 1e-4
-                column = (residual(u + h) - residual(u - h)) / 2e-4
-                err = np.linalg.norm(column - analytic[:, j]) / np.linalg.norm(analytic[:, j])
-                assert err < 1e-6, (signs, j, err)
+        check_stage_jacobian(monkeypatch, stage, make_bare_trace(
+            HF_SET, n=601, theta=0.1, background=linear_background(freq)))
 
     def test_uncertainty_scales_with_trace_length(self):
         sizes = (128, 512, 2048)
@@ -224,21 +247,18 @@ class TestFitResonancePumped:
     def test_transparency_trace_recovery(self, presets):
         scene = presets["strong_coupling_B"]
         om0 = scene["hf.omega0"]
-        freq = np.linspace(om0 / TWO_PI - 1.2e6, om0 / TWO_PI + 1.2e6, 2401)
-        vals = s11_pumped(TWO_PI * freq, om0, scene["hf.kappa_i"], scene["hf.kappa_e"],
-                          scene["lf.omega0"], scene["lf.gamma0"], scene["drive.g"],
-                          scene["drive.detuning"])
-        bg = linear_background(freq)
-        trace = ComplexTrace(freq, vals * bg.evaluate(TWO_PI * freq))
-        fit = fit_resonance(trace, model="pumped",
-                            pumped={"kappa_e": scene["hf.kappa_e"],
-                                    "gamma0": scene["lf.gamma0"],
-                                    "detuning": scene["drive.detuning"]})
+        trace, fixed = make_pumped_trace(scene)
+        fit = fit_resonance(trace, model="pumped", pumped=fixed)
         assert fit.converged
         assert abs(fit.value("omega0") - om0) / om0 < 1e-8
         assert abs(fit.value("kappa_i") - scene["hf.kappa_i"]) / scene["hf.kappa_i"] < 1e-3
         assert abs(fit.value("g") - scene["drive.g"]) / scene["drive.g"] < 1e-3
         assert abs(fit.value("lf_frequency") - scene["lf.omega0"]) / scene["lf.omega0"] < 1e-6
+
+    @pytest.mark.parametrize("stage", [0, -1], ids=["stage2", "stage3"])
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, presets, stage):
+        trace, fixed = make_pumped_trace(presets["strong_coupling_B"], n=601)
+        check_stage_jacobian(monkeypatch, stage, trace, model="pumped", pumped=fixed)
 
 
 class TestFitLorentzian:
