@@ -253,12 +253,9 @@ def cmd_nms(args) -> int:
     gamma0 = need(cfg, "lf.gamma0")
     lf = need(cfg, "lf.omega0")
     grid = parse_grid(args.grid, np.linspace(0.0, 6e5, args.points))
-    rows = [dynamics.normal_modes(TWO_PI * g, kappa, gamma0, lf) for g in grid]
-    columns = [grid,
-               np.array([m.upper.real for m in rows]) / TWO_PI,
-               np.array([m.lower.real for m in rows]) / TWO_PI,
-               np.array([m.linewidth_upper for m in rows]) / TWO_PI,
-               np.array([m.linewidth_lower for m in rows]) / TWO_PI]
+    modes = dynamics.normal_modes(TWO_PI * grid, kappa, gamma0, lf)
+    columns = [grid, modes.upper.real / TWO_PI, modes.lower.real / TWO_PI,
+               modes.linewidth_upper / TWO_PI, modes.linewidth_lower / TWO_PI]
     labels = ["g_hz", "upper_hz", "lower_hz", "linewidth_upper_hz", "linewidth_lower_hz"]
     if args.out:
         write_columns(args.out, columns, labels)

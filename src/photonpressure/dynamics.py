@@ -69,7 +69,10 @@ class BackactionResult:
 
 @dataclass(frozen=True)
 class HybridModes:
-    """Eigenmodes of the driven system at exact red-sideband pumping."""
+    """Eigenmodes of the driven system at exact red-sideband pumping.
+
+    Scalars for one coupling, arrays of its shape for an array of couplings.
+    """
 
     upper: complex                  # rad/s
     lower: complex                  # rad/s
@@ -222,19 +225,23 @@ def normal_modes(g, kappa, gamma0, lf_frequency) -> HybridModes:
     splitting is zero and the linewidths differ.  (The alternative
     strong-coupling convention, splitting exceeding the hybrid linewidth,
     corresponds to g > (kappa+Gamma0)/4 and is left to the caller.)
+
+    ``g`` may be an array; the fields are then arrays of its shape.
     """
     if kappa <= 0 or gamma0 <= 0:
         raise DomainError("rates must be positive")
+    g = np.asarray(g, dtype=float)
     disc = np.emath.sqrt(g ** 2 - ((kappa - gamma0) / 4.0) ** 2)
     base = lf_frequency - 0.25j * (kappa + gamma0)
-    upper = complex(base + disc)
-    lower = complex(base - disc)
+    upper = base + disc
+    lower = base - disc
+    scalar = g.ndim == 0
     return HybridModes(
-        upper=upper,
-        lower=lower,
-        splitting=float(upper.real - lower.real),
-        linewidth_upper=float(-2.0 * upper.imag),
-        linewidth_lower=float(-2.0 * lower.imag),
+        upper=_ret(upper, scalar),
+        lower=_ret(lower, scalar),
+        splitting=_ret(upper.real - lower.real, scalar, to_complex=False),
+        linewidth_upper=_ret(-2.0 * upper.imag, scalar, to_complex=False),
+        linewidth_lower=_ret(-2.0 * lower.imag, scalar, to_complex=False),
     )
 
 

@@ -7,20 +7,16 @@ reflection trace on top of a slowly varying instrumental background:
    the initial-guess center) and estimate the background
    (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline;
 2. divide the background out and fit the ideal response including a
-   resonance-circle rotation theta.  This alternates with a background
-   re-estimate from the data divided by the fitted resonance, so resonance
-   tails do not bias the baseline.  The alternation is a fixed point of the
-   four scaled background parameters that converges linearly; Anderson
-   mixing of the last iterates (Walker & Ni, SIAM J. Numer. Anal. 49, 1715
-   (2011)) roughly halves its rounds;
-3. re-fit the full model jointly, seeded by stages 1-2.
+   resonance-circle rotation theta, seeded by an algebraic circle fit.  This
+   single fit stops at a loose tolerance; the background is then estimated
+   once more from the data divided by the fitted resonance, so the seed of
+   stage 3 is not biased by resonance tails in the baseline;
+3. re-fit the full model jointly, seeded by stages 1-2.  This is the only
+   fit run to the full 1e-11 step / 1e-12 cost tolerance.
 
 Both models pass their analytic Jacobian to the engine in stages 2 and 3.
-Each stage-2 round's inner fit stops at a tolerance scaled to the previous
-round's background change, so early rounds stop loose and the last ones run
-at the full 1e-11 step / 1e-12 cost tolerance.  ``extras["diagnostics"]``
-reports the stage-2 rounds, stop reason and total iterations and the stage-3
-iterations and message.
+``extras["diagnostics"]`` reports, per stage, the iterations, residual
+evaluations, final cost and stop message.
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
@@ -50,8 +46,6 @@ __all__ = [
 ]
 
 _MIN_POINTS = 16
-_STAGE2_ROUNDS = 40   # cap on the stage-2 background alternation
-_ANDERSON_DEPTH = 4   # past iterates mixed into each stage-2 background update
 
 
 @dataclass(frozen=True)
@@ -187,25 +181,6 @@ def _sign(x):
     return -1.0 if x < 0 else 1.0
 
 
-def _anderson_step(xs, fs, x, f):
-    """Next iterate of the fixed point x = x + f(x) by Anderson mixing.
-
-    ``xs`` and ``fs`` hold the previous iterates and their residuals f; the
-    current pair is appended and the history trimmed to
-    ``_ANDERSON_DEPTH`` differences (Walker & Ni, SIAM J. Numer. Anal. 49,
-    1715 (2011)).  With no history this is the plain step x + f.
-    """
-    xs.append(x)
-    fs.append(f)
-    del xs[:-_ANDERSON_DEPTH - 1], fs[:-_ANDERSON_DEPTH - 1]
-    if len(fs) == 1:
-        return x + f
-    d_f = np.diff(fs, axis=0).T
-    d_g = np.diff(np.add(xs, fs), axis=0).T
-    gamma, *_ = np.linalg.lstsq(d_f, f, rcond=None)
-    return x + f - d_g @ gamma
-
-
 def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | None = None,
                   mask_halfwidths: float = 2.0, min_baseline_fraction: float = 0.25) -> FitResult:
     """Three-stage background-corrected fit of a complex reflection trace.
@@ -322,71 +297,29 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
                 1j * ke_fix * chi_c * (1.0 + t),
             )])
 
-    # alternate the ideal-response fit with a tail-free background
-    # re-estimate (dividing the fitted resonance out of the data) so the
-    # stage-2 seed is not biased by resonance tails leaking into the
-    # baseline.  The re-estimate is a fixed-point map of the scaled
-    # background x = (a0, a1*span, b0, b1*span); Anderson mixing of the last
-    # iterates speeds up its linear convergence.  Stop when the estimate
-    # converges or hits the noise floor.
-    span_w = omega[-1] - omega[0]
-    unit = np.array([1.0, span_w, 1.0, span_w])
-
-    def scaled(bg):
-        return np.array([bg.amplitude_offset, bg.amplitude_slope,
-                         bg.phase_offset, bg.phase_slope]) * unit
-
     def stage2_residual(u):
         return resonance(omega, ref2 + scale2 * u) - corrected
 
     def stage2_jac(u):
         return resonance_jac(ref2 + scale2 * u) * scale2
 
-    bg_est = bg1
-    x = scaled(bg1)
-    xs, fs = [], []
-    guess = (phys0 - ref2) / scale2
-    prev_delta = np.inf
-    stop = "round cap"
-    stage2_iterations = 0
-    for rounds in range(1, _STAGE2_ROUNDS + 1):
-        corrected = values / bg_est.evaluate(omega)
-        # an inner fit need only be as exact as the background it sits on:
-        # early rounds stop loose, the last ones at the full 1e-11 / 1e-12
-        tol = min(1e-4, 1e-3 * prev_delta)
-        fit2 = least_squares(stage2_residual, guess, jac=stage2_jac,
-                             names=stage2_names, step_tol=max(1e-11, tol),
-                             cost_tol=max(1e-12, tol * tol), step_floor=1e-8)
-        stage2_iterations += fit2.iterations
-        guess = fit2.params
-        bg_new = _background_stage(
-            omega, values / resonance(omega, ref2 + scale2 * fit2.params),
-            mask, w_ref)
-        f = scaled(bg_new) - x
-        f[2] = _wrap_angle(f[2])  # the offset is wrapped; compare modulo 2 pi
-        delta = float(np.max(np.abs(f)))
-        if delta < 1e-12:
-            stop = "converged"
-            break
-        if delta > 0.8 * prev_delta:
-            stop = "noise floor"
-            break
-        prev_delta = delta
-        x = _anderson_step(xs, fs, x, f)
-        a0, a1, b0, b1 = x / unit
-        bg_est = BackgroundModel(a0, a1, b0, b1, reference_frequency=w_ref)
-    bg1 = bg_new
+    # loose: stage 3 refines the result
+    fit2 = least_squares(stage2_residual, (phys0 - ref2) / scale2, jac=stage2_jac,
+                         names=stage2_names, step_tol=1e-4, cost_tol=1e-8,
+                         step_floor=1e-8)
     fit2.params = ref2 + scale2 * fit2.params
-    fit2.uncertainties = scale2 * fit2.uncertainties
+    # one tail-free background re-estimate: the fitted resonance divided out
+    bg2 = _background_stage(omega, values / resonance(omega, fit2.params),
+                            mask, w_ref)
 
     # stage 3: joint fit of resonance and background, seeded by stages 1-2
     names = stage2_names + ("amplitude_offset", "amplitude_slope",
                             "phase_offset", "phase_slope")
     ref3 = np.concatenate([ref2, [0.0, 0.0, 0.0, 0.0]])
-    scale3 = np.concatenate([scale2, [1.0, 1.0 / span_w, 1.0, 1.0 / span_w]])
+    scale3 = np.concatenate([scale2, [1.0, 1.0 / span, 1.0, 1.0 / span]])
     phys0 = np.concatenate([fit2.params,
-                            [bg1.amplitude_offset, bg1.amplitude_slope,
-                             bg1.phase_offset, bg1.phase_slope]])
+                            [bg2.amplitude_offset, bg2.amplitude_slope,
+                             bg2.phase_offset, bg2.phase_slope]])
 
     n_res = len(stage2_names)
     w = omega - w_ref
@@ -436,12 +369,9 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
     fit3.extras["stage2_params"] = {
         name: float(v) for name, v in zip(stage2_names, fit2.params)}
     fit3.extras["diagnostics"] = {
-        "stage2_rounds": rounds,
-        "stage2_stop": stop,
-        "stage2_iterations": stage2_iterations,
-        "stage3_iterations": fit3.iterations,
-        "stage3_message": fit3.message,
-    }
+        stage: {"iterations": fit.iterations, "evaluations": fit.evaluations,
+                "cost": fit.cost_history[-1], "message": fit.message}
+        for stage, fit in (("stage2", fit2), ("stage3", fit3))}
     if model == "bare":
         fit3.extras["kappa"] = float(pars[1] + pars[2])
     return fit3

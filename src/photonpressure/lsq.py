@@ -8,12 +8,13 @@ max(1e-8*|p|, step_floor), unless the caller passes ``jac``: a function of
 the parameter vector returning the (m, n) derivative of the residual, real
 or complex like the residual itself and stacked the same way (real rows,
 then imaginary rows).  An analytic ``jac`` saves the n extra residual
-evaluations of every iteration; ``fit_resonance`` passes one for both of its
-models, while the Lorentzian, backaction and flux-arch fits use the forward
-differences.  Convergence is declared when the relative parameter step
-drops below ``step_tol`` (default 1e-9) or the relative cost decrease below
-``cost_tol`` (default 1e-12).  Running out of iterations returns a
-non-converged result with diagnostics instead of raising.
+evaluations of every iteration; ``fit_resonance`` passes one to both of its
+fits (stage 2 and the joint stage 3) for either model, while the Lorentzian,
+backaction and flux-arch fits use the forward differences.  Convergence is
+declared when the relative parameter step drops below ``step_tol`` (default
+1e-9) or the relative cost decrease below ``cost_tol`` (default 1e-12).
+Running out of iterations returns a non-converged result with diagnostics
+instead of raising.  ``FitResult.evaluations`` counts the residual calls.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class FitResult:
     iterations: int
     converged: bool
     message: str
+    evaluations: int = 0            # residual calls, finite differences included
     cost_history: list = field(default_factory=list)
     names: tuple = ()
     background: object = None
@@ -94,8 +96,15 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
     p = np.asarray(x0, dtype=float).copy()
     n = p.size
 
+    evaluations = 0
+
+    def evaluate(q):
+        nonlocal evaluations
+        evaluations += 1
+        return _stack(residual(q))
+
     def cost_of(q):
-        r = _stack(residual(q))
+        r = evaluate(q)
         return r, float(r @ r)
 
     r, cost = cost_of(p)
@@ -117,7 +126,7 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
                 h = max(1e-8 * abs(p[j]), step_floor)
                 q = p.copy()
                 q[j] += h
-                jmat[:, j] = (_stack(residual(q)) - r) / h
+                jmat[:, j] = (evaluate(q) - r) / h
         grad = jmat.T @ r
         jtj = jmat.T @ jmat
         diag = np.diag(jtj).copy()
@@ -173,6 +182,7 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
         iterations=iterations,
         converged=converged,
         message=message,
+        evaluations=evaluations,
         cost_history=history,
         names=tuple(names),
     )

@@ -318,6 +318,22 @@ class TestNormalModes:
             assert modes.linewidth_upper + modes.linewidth_lower == pytest.approx(
                 kappa + gamma0, rel=1e-9)
 
+    def test_array_equals_scalar_loop(self):
+        # a grid across the threshold mixes real and imaginary roots
+        g_th = (KAPPA - GAMMA0) / 4
+        grid = np.concatenate([[0.0, g_th], np.linspace(0.0, 5 * g_th, 2001)])
+        modes = normal_modes(grid, KAPPA, GAMMA0, OM0)
+        rows = [normal_modes(g, KAPPA, GAMMA0, OM0) for g in grid]
+        for field in ("upper", "lower", "splitting", "linewidth_upper",
+                      "linewidth_lower"):
+            column = getattr(modes, field)
+            assert column.shape == grid.shape
+            assert np.array_equal(column, [getattr(m, field) for m in rows]), field
+        one = rows[-1]
+        assert type(one.upper) is complex and type(one.lower) is complex
+        assert all(type(v) is float for v in (one.splitting, one.linewidth_upper,
+                                              one.linewidth_lower))
+
 
 class TestCooperativity:
     def test_zero_coupling(self):

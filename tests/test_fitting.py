@@ -106,12 +106,11 @@ class TestFitResonanceBare:
         assert fit.value("theta") == pytest.approx(0.15, abs=1e-6)
         assert fit.background.amplitude_offset == pytest.approx(0.93, abs=1e-6)
 
-    def test_identity_background_stage_equivalence(self):
+    def test_identity_background_exact_recovery(self):
         trace = make_bare_trace(HF_SET)
         fit = fit_resonance(trace)
-        stage2 = fit.extras["stage2_params"]
         for name in ("omega0", "kappa_i", "kappa_e"):
-            assert abs(fit.value(name) - stage2[name]) / abs(stage2[name]) < 1e-10
+            assert abs(fit.value(name) - HF_SET[name]) / HF_SET[name] < 1e-10
         assert fit.background.is_identity(span=TWO_PI * np.ptp(trace.frequency_hz),
                                           tol=1e-8)
 
@@ -163,15 +162,20 @@ class TestFitResonanceBare:
         trace = make_bare_trace(HF_SET, n=1201, theta=0.05, sigma=0.01, seed=3)
         fit = fit_resonance(trace)
         diag = fit.extras["diagnostics"]
-        assert set(diag) == {"stage2_rounds", "stage2_stop", "stage2_iterations",
-                             "stage3_iterations", "stage3_message"}
-        assert 1 <= diag["stage2_rounds"] <= 40
-        assert diag["stage2_rounds"] <= diag["stage2_iterations"]
-        assert diag["stage2_stop"] in ("converged", "noise floor", "round cap")
-        assert diag["stage3_iterations"] == fit.iterations
-        assert diag["stage3_message"] == fit.message
+        assert set(diag) == {"stage2", "stage3"}
+        for stage in diag.values():
+            assert set(stage) == {"iterations", "evaluations", "cost", "message"}
+            # one evaluation at the start and at least one per iteration
+            assert 1 <= stage["iterations"] < stage["evaluations"]
+            assert stage["cost"] > 0
+        stage3 = diag["stage3"]
+        assert stage3["iterations"] == fit.iterations
+        assert stage3["evaluations"] == fit.evaluations
+        assert stage3["cost"] == pytest.approx(fit.residual_norm ** 2, rel=1e-12)
+        assert stage3["message"] == fit.message
         # nested, so the flat report keeps its keys
         assert not any(key.startswith("stage") for key in fit.as_dict())
+        assert "evaluations" not in fit.as_dict()
 
     @pytest.mark.parametrize("stage", [0, -1], ids=["stage2", "stage3"])
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, stage):
@@ -201,6 +205,51 @@ class TestFitResonanceBare:
         freq = np.linspace(5.84e9, 5.85e9, 8)
         with pytest.raises(DomainError):
             fit_resonance(ComplexTrace(freq, np.ones(8, complex)))
+
+
+# background and rotation axes of the sweep: amplitude slope (relative, per
+# span), phase offset at 0 and just inside +-pi, phase slope (rad per span)
+# and circle rotation theta
+SWEEP_BACKGROUNDS = [(a1, b0, b1, theta)
+                     for a1 in (-0.1, 0.1)
+                     for b0 in (0.0, math.pi - 1e-3, -(math.pi - 1e-3))
+                     for b1 in (-3.0, 0.0, 3.0)
+                     for theta in (-0.5, 0.0, 0.5)]
+
+
+def sweep_trace(ratio, sigma, case):
+    """Bare hf trace with kappa_e/kappa_i = ``ratio``, the background and
+    rotation of ``SWEEP_BACKGROUNDS[case]`` and noise ``sigma`` seeded by
+    ``case``; returns the true parameters and the trace."""
+    kappa = HF_SET["kappa_i"] + HF_SET["kappa_e"]
+    par = dict(omega0=HF_SET["omega0"], kappa_i=kappa / (1.0 + ratio),
+               kappa_e=kappa * ratio / (1.0 + ratio))
+    a1, b0, b1, theta = SWEEP_BACKGROUNDS[case]
+    span = 8.0 * kappa  # make_bare_trace's default 4 halfwidths, in rad/s
+    bg = BackgroundModel(0.93, a1 * 0.93 / span, b0, b1 / span,
+                         reference_frequency=par["omega0"])
+    return par, make_bare_trace(par, n=1201, theta=theta, background=bg,
+                                sigma=sigma, seed=case)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.02])
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
+def test_background_sweep_reaches_truth(ratio, sigma):
+    # every background of the grid: the fit converges, noiseless traces give
+    # the truth to 1e-8 (omega0 in linewidths) and noisy ones within 5 of
+    # the fit's own uncertainties
+    for case in range(len(SWEEP_BACKGROUNDS)):
+        par, trace = sweep_trace(ratio, sigma, case)
+        fit = fit_resonance(trace)
+        assert fit.converged, case
+        kappa = par["kappa_i"] + par["kappa_e"]
+        for name in ("omega0", "kappa_i", "kappa_e"):
+            err = abs(fit.value(name) - par[name])
+            if sigma:
+                assert err <= 5.0 * fit.uncertainty(name), (case, name)
+            else:
+                scale = kappa if name == "omega0" else par[name]
+                assert err <= 1e-8 * scale, (case, name, err / scale)
 
 
 def _baseline_phase_reference(omega, values, base_idx):
