@@ -13,14 +13,14 @@ Subpackage map:
 - :mod:`photonpressure.cli` - command-line front end
 """
 
-from . import (circuit, constants, dynamics, errors, fitting, kernels, lsq,
-               noise, presets, squid, synth, traces)
+from . import (circuit, constants, dynamics, errors, fitting, lsq, noise,
+               presets, squid, synth, traces)
 from .presets import experiment_presets
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "circuit", "constants", "dynamics", "errors", "fitting", "kernels",
-    "lsq", "noise", "presets", "squid", "synth", "traces",
+    "circuit", "constants", "dynamics", "errors", "fitting", "lsq",
+    "noise", "presets", "squid", "synth", "traces",
     "experiment_presets", "__version__",
 ]

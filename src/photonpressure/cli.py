@@ -93,6 +93,21 @@ def parse_grid(spec: str, default=None):
     return np.linspace(start, stop, points)
 
 
+def _probe_grid(args, cfg: dict, model: str = "pumped"):
+    """``--grid``, else ``--points`` around the probed resonance, built only then.
+
+    lf.omega0 +-200 kHz for "lf_pumped", and for "bare" without hf.omega0 as in
+    :func:`synth_s11`; hf.omega0 +-2 MHz otherwise.
+    """
+    if args.grid is not None:
+        return parse_grid(args.grid)
+    if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in cfg):
+        center, half = need(cfg, "lf.omega0") / TWO_PI, 2e5
+    else:
+        center, half = need(cfg, "hf.omega0") / TWO_PI, 2e6
+    return np.linspace(center - half, center + half, args.points)
+
+
 def resolve_detuning(cfg: dict) -> float:
     """Pump detuning from the cavity, possibly via a sideband offset."""
     sideband = str(cfg.get("drive.sideband", "red"))
@@ -210,17 +225,10 @@ def cmd_params(args) -> int:
 
 def cmd_respond(args) -> int:
     cfg = build_config(args)
-    model = args.model
-    if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in cfg):
-        center = need(cfg, "lf.omega0") / TWO_PI
-        default = np.linspace(center - 2e5, center + 2e5, args.points)
-    else:
-        center = need(cfg, "hf.omega0") / TWO_PI
-        default = np.linspace(center - 2e6, center + 2e6, args.points)
-    grid = parse_grid(args.grid, default)
-    if model != "bare":
+    grid = _probe_grid(args, cfg, args.model)
+    if args.model != "bare":
         cfg.setdefault("drive.detuning", resolve_detuning(cfg))
-    trace = synth_s11(model, cfg, grid, noise=noise_from(cfg, args.seed))
+    trace = synth_s11(args.model, cfg, grid, noise=noise_from(cfg, args.seed))
     if args.out:
         write_complex_trace(args.out, trace)
     else:
@@ -349,38 +357,32 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = build_config(args)
     if args.model == "psd":
         return cmd_psd(args)
+    if not args.out:
+        raise ConfigError("synth requires --out")
+    cfg = build_config(args)
     if args.model != "bare":
         cfg.setdefault("drive.detuning", resolve_detuning(cfg))
     background = None
     if any(k.startswith("background.") for k in cfg):
-        from .fitting import BackgroundModel
         center = need(cfg, "hf.omega0", cfg.get("lf.omega0"))
-        background = BackgroundModel(
+        background = dynamics.BackgroundModel(
             amplitude_offset=need(cfg, "background.amplitude_offset", 1.0),
             amplitude_slope=need(cfg, "background.amplitude_slope", 0.0),
             phase_offset=need(cfg, "background.phase_offset", 0.0),
             phase_slope=need(cfg, "background.phase_slope", 0.0),
             reference_frequency=need(cfg, "background.reference_frequency", center),
         )
-    if args.model == "lf_pumped":
-        center = need(cfg, "lf.omega0") / TWO_PI
-        default = np.linspace(center - 2e5, center + 2e5, args.points)
-    else:
-        center = need(cfg, "hf.omega0") / TWO_PI
-        default = np.linspace(center - 2e6, center + 2e6, args.points)
-    grid = parse_grid(args.grid, default)
-    trace = synth_s11(args.model, cfg, grid, background=background,
-                      noise=noise_from(cfg, args.seed))
-    if not args.out:
-        raise ConfigError("synth requires --out")
+    trace = synth_s11(args.model, cfg, _probe_grid(args, cfg, args.model),
+                      background=background, noise=noise_from(cfg, args.seed))
     write_complex_trace(args.out, trace)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    if not args.out:
+        raise ConfigError("sweep requires --out")
     cfg = build_config(args)
     outer_specs = args.outer or []
     if len(outer_specs) != 1:
@@ -391,8 +393,7 @@ def cmd_sweep(args) -> int:
     if any(entry.startswith(key + "=") for entry in (args.set or [])):
         raise ConfigError(f"axis collision: {key!r} is both swept and set")
     outer = parse_grid(grid_part)
-    center = need(cfg, "hf.omega0") / TWO_PI
-    probe = parse_grid(args.grid, np.linspace(center - 2e6, center + 2e6, args.points))
+    probe = _probe_grid(args, cfg)
 
     rows = []
     for value in outer:
@@ -404,10 +405,7 @@ def cmd_sweep(args) -> int:
         trace = synth_s11("pumped", point, probe)
         rows.append(20.0 * np.log10(np.abs(trace.values)))
 
-    out = args.out
-    if not out:
-        raise ConfigError("sweep requires --out")
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# outer: {key}\n")
         fh.write("# columns: outer_value then |S11| in dB per probe point\n")
         fh.write("# probe_hz: " + " ".join(format(f, ".17g") for f in probe) + "\n")

@@ -9,8 +9,9 @@ from the pump, Omega = omega_probe - omega_pump; the low-frequency side is
 probed directly at its own (absolute) frequency.
 
 All functions are pure and accept scalars or arrays for the frequency
-argument.  The reflection responses check their rates here and evaluate the
-closed forms in :mod:`kernels`.
+argument.  chi_c, chi_c*(-Omega) and chi_eff are written once, in
+:func:`_pumped_terms`, which the responses and the pumped fit's Jacobian
+share.  :class:`BackgroundModel` is the instrumental background of a trace.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError
 
 __all__ = [
+    "BackgroundModel",
     "OperatingPoint",
     "BackactionResult",
     "HybridModes",
@@ -81,11 +82,62 @@ class HybridModes:
     linewidth_lower: float          # rad/s
 
 
+@dataclass(frozen=True)
+class BackgroundModel:
+    """Linear amplitude and phase background with a resonance rotation.
+
+    Evaluates (a0 + a1*(w - w_ref)) * exp(i*(b0 + b1*(w - w_ref))); the
+    rotation ``circle_rotation`` applies to the resonance term only and is
+    kept here so a fit result carries the full instrumental model.  Slopes
+    are per rad/s.
+    """
+
+    amplitude_offset: float = 1.0
+    amplitude_slope: float = 0.0
+    phase_offset: float = 0.0
+    phase_slope: float = 0.0
+    circle_rotation: float = 0.0
+    reference_frequency: float = 0.0  # rad/s
+
+    def evaluate(self, omega):
+        w = np.asarray(omega, dtype=float) - self.reference_frequency
+        return (self.amplitude_offset + self.amplitude_slope * w) \
+            * np.exp(1j * (self.phase_offset + self.phase_slope * w))
+
+    def is_identity(self, span: float, tol: float = 1e-6) -> bool:
+        """True when the background is unity within ``tol`` over ``span``."""
+        return (abs(self.amplitude_offset - 1.0) < tol
+                and abs(self.amplitude_slope) * span < tol
+                and abs(self.phase_offset) < tol
+                and abs(self.phase_slope) * span < tol
+                and abs(self.circle_rotation) < tol)
+
+
 def _ret(values, scalar_input, to_complex=True):
+    # the reflections evaluate a scalar as a 1-element array, so that it takes
+    # the arithmetic of a grid and equals that grid's element bit for bit
     arr = np.asarray(values)
     if scalar_input:
         return complex(arr.flat[0]) if to_complex else float(arr.flat[0])
     return arr
+
+
+def _cavity_terms(om, kappa, detuning):
+    """chi_c(Omega) = 1/(kappa/2 - i(Delta + Omega)) and chi_c*(-Omega)."""
+    return (1.0 / (0.5 * kappa - 1j * (detuning + om)),
+            1.0 / (0.5 * kappa + 1j * (detuning - om)))
+
+
+def _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning):
+    """Intermediates of the pumped response at pump offsets ``om``.
+
+    Returns chi_c, chi_cm = chi_c*(-Omega), a = 2i*Omega0*g^2,
+    p = Omega0^2 - Omega^2 - i*Omega*Gamma0 and chi_eff = 1/(p - a*(chi_c - chi_cm)).
+    """
+    chi_c, chi_cm = _cavity_terms(om, kappa, detuning)
+    a = 2j * lf_frequency * g ** 2
+    p = lf_frequency ** 2 - om ** 2 - 1j * om * lf_linewidth
+    return chi_c, chi_cm, a, p, 1.0 / (p - a * (chi_c - chi_cm))
 
 
 def cavity_susceptibility(offset, detuning, kappa):
@@ -98,8 +150,7 @@ def cavity_susceptibility(offset, detuning, kappa):
         raise DomainError("cavity linewidth must be positive")
     om = np.asarray(offset)
     om = om.astype(complex if np.iscomplexobj(om) else float)
-    out = 1.0 / (0.5 * kappa - 1j * (detuning + om))
-    return _ret(out, om.ndim == 0)
+    return _ret(_cavity_terms(om, kappa, detuning)[0], om.ndim == 0)
 
 
 def effective_lf_susceptibility(offset, lf_frequency, lf_linewidth, g, detuning, kappa):
@@ -112,11 +163,8 @@ def effective_lf_susceptibility(offset, lf_frequency, lf_linewidth, g, detuning,
         raise DomainError("rates must be positive")
     om = np.asarray(offset)
     om = om.astype(complex if np.iscomplexobj(om) else float)
-    chi_c = 1.0 / (0.5 * kappa - 1j * (detuning + om))
-    chi_cm = 1.0 / (0.5 * kappa + 1j * (detuning - om))
-    out = 1.0 / (lf_frequency ** 2 - om ** 2 - 1j * om * lf_linewidth
-                 - 2j * lf_frequency * g ** 2 * (chi_c - chi_cm))
-    return _ret(out, om.ndim == 0)
+    *_, chi_eff = _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning)
+    return _ret(chi_eff, om.ndim == 0)
 
 
 def s11_bare(omega, omega0, kappa_i, kappa_e):
@@ -126,9 +174,9 @@ def s11_bare(omega, omega0, kappa_i, kappa_e):
     """
     if kappa_i < 0 or kappa_e < 0 or kappa_i + kappa_e <= 0:
         raise DomainError("decay rates must be >= 0 with a positive total")
-    om = np.asarray(omega, dtype=float)
-    out = kernels.s11_bare(om.ravel(), omega0, kappa_i, kappa_e).reshape(om.shape)
-    return _ret(out, om.ndim == 0)
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = 1.0 - 2.0 * kappa_e / (kappa_i + kappa_e + 2j * (om - omega0))
+    return _ret(out, np.ndim(omega) == 0)
 
 
 def s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_frequency, lf_linewidth,
@@ -137,16 +185,18 @@ def s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_frequency, lf_linewidth
 
     S11 = 1 - kappa_e*chi_c*[1 + 2i*Omega0*g^2*chi_c*chi_eff], evaluated at
     the probe-pump offset implied by ``omega_probe``.  Reduces to
-    :func:`s11_bare` at g = 0.
+    :func:`s11_bare` at g = 0: the rotating-frame result is conjugated to
+    match the +2i*Delta sign convention of the bare response.
     """
     if kappa_i < 0 or kappa_e < 0 or kappa_i + kappa_e <= 0:
         raise DomainError("decay rates must be >= 0 with a positive total")
     if lf_linewidth <= 0:
         raise DomainError("low-frequency linewidth must be positive")
-    om = np.asarray(omega_probe, dtype=float)
-    out = kernels.s11_pumped(om.ravel(), omega0, kappa_i, kappa_e,
-                             lf_frequency, lf_linewidth, g, detuning).reshape(om.shape)
-    return _ret(out, om.ndim == 0)
+    om = np.atleast_1d(np.asarray(omega_probe, dtype=float)) - (omega0 + detuning)
+    chi_c, _, a, _, chi_eff = _pumped_terms(om, kappa_i + kappa_e, lf_frequency,
+                                            lf_linewidth, g, detuning)
+    out = np.conj(1.0 - kappa_e * chi_c * (1.0 + a * chi_c * chi_eff))
+    return _ret(out, np.ndim(omega_probe) == 0)
 
 
 def lf_s11_pumped(omega, lf_frequency, gamma_i, gamma_e, g, detuning, kappa):
@@ -155,16 +205,19 @@ def lf_s11_pumped(omega, lf_frequency, gamma_i, gamma_e, g, detuning, kappa):
     High-Q form: S11 = 1 - Gamma_e / (Gamma0/2 - i(Omega - Omega0) + i*Sigma)
     with the self-energy Sigma = -i g^2 [chi_c(Omega) - chi_c*(-Omega)].
     The dip sits at the shifted frequency with the backaction-broadened
-    linewidth; g = 0 recovers the bare response.
+    linewidth; g = 0 recovers the bare response (conjugated as in
+    :func:`s11_pumped`).
     """
     if gamma_i < 0 or gamma_e < 0 or gamma_i + gamma_e <= 0:
         raise DomainError("decay rates must be >= 0 with a positive total")
     if kappa <= 0:
         raise DomainError("cavity linewidth must be positive")
-    om = np.asarray(omega, dtype=float)
-    out = kernels.lf_s11_pumped(om.ravel(), lf_frequency, gamma_i, gamma_e,
-                                g, detuning, kappa).reshape(om.shape)
-    return _ret(out, om.ndim == 0)
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    chi_c, chi_cm = _cavity_terms(om, kappa, detuning)
+    sigma = -1j * g ** 2 * (chi_c - chi_cm)
+    out = np.conj(1.0 - gamma_e / (0.5 * (gamma_i + gamma_e) - 1j * (om - lf_frequency)
+                                   + 1j * sigma))
+    return _ret(out, np.ndim(omega) == 0)
 
 
 def backaction_exact(detuning, g, kappa, lf_frequency):

@@ -26,12 +26,12 @@ fit Lorentzian spectra, backaction curves and the flux arch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PHI_0
-from .dynamics import backaction_sideband, s11_bare, s11_pumped
+from .dynamics import (BackgroundModel, _pumped_terms, backaction_sideband,
+                       s11_bare, s11_pumped)
 from .errors import (BackgroundEstimationError, DomainError,
                      NonIdentifiableError)
 from .lsq import FitResult, least_squares
@@ -46,37 +46,6 @@ __all__ = [
 ]
 
 _MIN_POINTS = 16
-
-
-@dataclass(frozen=True)
-class BackgroundModel:
-    """Linear amplitude and phase background with a resonance rotation.
-
-    Evaluates (a0 + a1*(w - w_ref)) * exp(i*(b0 + b1*(w - w_ref))); the
-    rotation ``circle_rotation`` applies to the resonance term only and is
-    kept here so a fit result carries the full instrumental model.  Slopes
-    are per rad/s.
-    """
-
-    amplitude_offset: float = 1.0
-    amplitude_slope: float = 0.0
-    phase_offset: float = 0.0
-    phase_slope: float = 0.0
-    circle_rotation: float = 0.0
-    reference_frequency: float = 0.0  # rad/s
-
-    def evaluate(self, omega):
-        w = np.asarray(omega, dtype=float) - self.reference_frequency
-        return (self.amplitude_offset + self.amplitude_slope * w) \
-            * np.exp(1j * (self.phase_offset + self.phase_slope * w))
-
-    def is_identity(self, span: float, tol: float = 1e-6) -> bool:
-        """True when the background is unity within ``tol`` over ``span``."""
-        return (abs(self.amplitude_offset - 1.0) < tol
-                and abs(self.amplitude_slope) * span < tol
-                and abs(self.phase_offset) < tol
-                and abs(self.phase_slope) * span < tol
-                and abs(self.circle_rotation) < tol)
 
 
 def _require_points(n, minimum=_MIN_POINTS):
@@ -267,21 +236,17 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
 
         def resonance_jac(pars):
             # d/d(omega0, kappa_i, g, lf_frequency, theta) of resonance(omega,
-            # pars), from the kernel's intermediates.  With the pump offset
-            # Om = omega - omega0 - detuning, a = 2i lf g^2 and
-            # p = lf^2 - Om^2 - i Om gamma0, the kernel evaluates
+            # pars), from the intermediates of dynamics._pumped_terms.  With
+            # the pump offset Om = omega - omega0 - detuning, a = 2i lf g^2 and
+            # p = lf^2 - Om^2 - i Om gamma0, s11_pumped evaluates
             # s = 1 - ke chi_c (1 + t), t = a chi_c chi_lf,
             # 1/chi_lf = p - a (chi_c - chi_cm), and resonance is
             # 1 - conj(1 - s) e^{i theta}: column j is conj(ds/dp_j) e^{i theta},
             # and d/dtheta is conj(i (1 - s)) e^{i theta}
             om0, ki, g, lf, theta = pars
             om = omega - (om0 + detuning_fix)
-            kappa = abs(ki) + ke_fix
-            chi_c = 1.0 / (0.5 * kappa - 1j * (detuning_fix + om))
-            chi_cm = 1.0 / (0.5 * kappa + 1j * (detuning_fix - om))
-            a = 2j * lf * g ** 2
-            p = lf ** 2 - om ** 2 - 1j * om * gamma0_fix
-            chi_lf = 1.0 / (p - a * (chi_c - chi_cm))
+            chi_c, chi_cm, a, p, chi_lf = _pumped_terms(
+                om, abs(ki) + ke_fix, lf, gamma0_fix, g, detuning_fix)
             t = a * chi_c * chi_lf
             c2 = chi_c * chi_c
             f = ke_fix * c2 * chi_lf * chi_lf

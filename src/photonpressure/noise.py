@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .constants import hbar, k_B
 from .errors import CalibrationError, DomainError, UnstableRegimeError
 from .traces import SpectrumTrace
@@ -158,10 +157,16 @@ def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,
         raise DomainError("rates must be positive")
     if n_lf < 0 or n_cavity < 0:
         raise DomainError("occupations must be >= 0")
-    om = np.asarray(offset, dtype=float)
-    out = kernels.psd_blue(om.ravel(), kappa, kappa_e, gamma0, lf_frequency,
-                           g, detuning, n_lf, n_cavity, n_add_eff).reshape(om.shape)
-    return out if om.ndim else float(out)
+    om = np.atleast_1d(np.asarray(offset, dtype=float))
+    chi_c = 1.0 / (0.5 * kappa + 1j * (om + detuning))
+    chi_lf = 1.0 / (0.5 * gamma0 + 1j * (om + lf_frequency))
+    abs2_c = chi_c.real ** 2 + chi_c.imag ** 2
+    abs2_lf = chi_lf.real ** 2 + chi_lf.imag ** 2
+    loop = 1.0 - g ** 2 * chi_c * chi_lf
+    num = kappa_e * g ** 2 * abs2_lf * abs2_c * gamma0 * (n_lf + 1.0) \
+        + kappa_e * abs2_c * kappa * n_cavity
+    out = 0.5 + n_add_eff + num / (loop.real ** 2 + loop.imag ** 2)
+    return out if np.ndim(offset) else float(out[0])
 
 
 def psd_on_sideband(offset_from_peak, kappa, kappa_e, cooperativity, gamma0,

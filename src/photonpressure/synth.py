@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import lf_s11_pumped, s11_bare, s11_pumped
+from .dynamics import BackgroundModel, lf_s11_pumped, s11_bare, s11_pumped
 from .errors import ConfigError, DomainError
-from .fitting import BackgroundModel
 from .noise import DetectionChain, psd_blue_pump
 from .constants import hbar
 from .presets import need

@@ -389,14 +389,11 @@ def test_criterion_6_fitting_robustness():
 
 def test_criterion_7_property_suites():
     start = time.time()
-    modules = ["test_circuit.py", "test_squid.py", "test_dynamics.py",
-               "test_noise.py", "test_lsq.py", "test_fitting.py",
-               "test_synth.py", "test_traces.py", "test_kernels.py",
-               "test_cli.py"]
     here = Path(__file__).parent
+    modules = sorted(p for p in here.glob("test_*.py") if p.name != "test_acceptance.py")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *[str(here / m) for m in modules]],
+         *[str(m) for m in modules]],
         capture_output=True, text=True, cwd=here.parent)
     elapsed = time.time() - start
     tail = result.stdout.strip().splitlines()[-1] if result.stdout.strip() else "?"

@@ -236,3 +236,12 @@ class TestDerivedResonator:
                             total_inductance=300e-12,
                             total_capacitance=620e-12,
                             coupling_capacitance=434e-15)
+
+
+def test_constants_are_codata_2022():
+    from photonpressure import constants
+
+    assert constants.epsilon_0 == 8.8541878188e-12
+    assert constants.hbar == 1.0545718176461565e-34
+    assert constants.k_B == 1.380649e-23
+    assert constants.mu_0 == 1.25663706127e-06

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonpressure
 from photonpressure.cli import main
 from photonpressure.squid import squid_frequency, squid_spec_from_fit
 from photonpressure.traces import read_points
@@ -34,6 +39,16 @@ class TestExitCodes:
 
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run("fit", str(tmp_path / "missing.dat")) == 3
+
+    def test_missing_out_fails_before_computing(self, monkeypatch, capsys):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed a trace before checking --out")
+
+        monkeypatch.setattr("photonpressure.cli.synth_s11", computed)
+        assert run("synth", "--model", "bare", "--preset", "hf_fit") == 2
+        assert run("sweep", "--preset", "strong_coupling_D",
+                   "--outer", "drive.g:0:3e5:3") == 2
+        assert capsys.readouterr().err.count("requires --out") == 2
 
     def test_domain_error(self, tmp_path):
         # evaluating the arch beyond its edge diverges
@@ -74,6 +89,17 @@ class TestReproducibility:
                        "--set", "noise.sigma=0.01", "--seed", "11",
                        "--grid", "5.8425e9:5.8455e9:257", "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bare_lf_synth_matches_respond(self, tmp_path):
+        # synth and respond share one default grid, built from lf.omega0 when
+        # the parameters have no hf.omega0
+        for grid in ([], ["--grid", "390e6:392e6:101"]):
+            a, b = tmp_path / "a.dat", tmp_path / "b.dat"
+            assert run("synth", "--model", "bare", "--preset", "lf", *grid,
+                       "--out", str(a)) == 0
+            assert run("respond", "--model", "bare", "--preset", "lf", *grid,
+                       "--out", str(b)) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
@@ -258,3 +284,20 @@ class TestSimulationCommands:
         assert run("psd", "--preset", "ppia", "--set", "thermal.n_th=4",
                    "--out", str(tmp_path / "psd.dat")) == 0
         assert time.time() - start < 10.0
+
+
+def test_cli_import_loads_only_numpy_beyond_stdlib():
+    # every package the CLI import pulls in is the standard library, numpy or
+    # this package itself: a heavy optional dependency would show up here
+    code = ("import sys; before = set(sys.modules); import photonpressure.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(photonpressure.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    loaded = set(out.stdout.split())
+    stdlib = sys.stdlib_module_names
+    third_party = {m for m in loaded if m not in stdlib and m.lstrip("_") not in stdlib}
+    assert "photonpressure" in third_party
+    assert third_party <= {"numpy", "photonpressure"}

@@ -11,6 +11,7 @@ from photonpressure.dynamics import (backaction_exact, backaction_sideband,
                                      lf_s11_pumped, normal_modes, s11_bare,
                                      s11_pumped)
 from photonpressure.errors import DomainError
+from photonpressure.noise import psd_blue_pump
 
 TWO_PI = 2 * math.pi
 
@@ -354,3 +355,84 @@ class TestCooperativity:
         kappa = 4 * g**2 / (130 * gamma0)
         assert cooperativity(g, kappa, gamma0) == pytest.approx(130.0, rel=1e-12)
         assert kappa / TWO_PI == pytest.approx(307.7e3, rel=1e-3)
+
+
+RESPONSES = {"s11_bare": s11_bare, "s11_pumped": s11_pumped,
+             "lf_s11_pumped": lf_s11_pumped}
+
+ARGS = {
+    "s11_bare": (TWO_PI * 5.844e9, TWO_PI * 163e3, TWO_PI * 28e3),
+    "s11_pumped": (TWO_PI * 5.844e9, TWO_PI * 163e3, TWO_PI * 28e3,
+                   TWO_PI * 391e6, TWO_PI * 22e3, TWO_PI * 250e3, -TWO_PI * 391e6),
+    "lf_s11_pumped": (TWO_PI * 391e6, TWO_PI * 7.4e3, TWO_PI * 13.8e3,
+                      TWO_PI * 30e3, -TWO_PI * 391e6, TWO_PI * 250e3),
+}
+
+GRIDS = {
+    "s11_bare": TWO_PI * np.linspace(5.842e9, 5.846e9, 4001),
+    "s11_pumped": TWO_PI * np.linspace(5.842e9, 5.846e9, 4001),
+    "lf_s11_pumped": TWO_PI * np.linspace(390.5e6, 391.5e6, 4001),
+}
+
+
+# Values recorded at fixed grid indices (symmetric about the resonance); they
+# pin the arithmetic of each response, not just its shape.
+GOLDEN_INDICES = [0, 1000, 1900, 2000, 2100, 3000, 4000]
+GOLDEN = {
+    "s11_bare": [
+        0.999333020754366 - 0.013968151741023399j,
+        0.9973501671381605 - 0.027746940961682287j,
+        0.8601482721194035 - 0.14644159987450026j,
+        0.7068062827225131 + 0j,
+        0.8601482721194035 + 0.14644159987450026j,
+        0.9973501671381605 + 0.027746940961682287j,
+        0.999333020754366 + 0.013968151741023399j,
+    ],
+    "s11_pumped": [
+        0.9993104397165375 - 0.014189292652293874j,
+        0.9969671044373942 - 0.029557934537171832j,
+        0.9844865066714388 + 0.04914770914084368j,
+        0.9951534607035805 - 3.4631664902468906e-05j,
+        0.9844418068605161 - 0.04924701180819021j,
+        0.9969681985595416 + 0.02955269281745149j,
+        0.9993105533635782 + 0.014188128135156129j,
+    ],
+    "lf_s11_pumped": [
+        0.9993876535021681 - 0.027680350857823242j,
+        0.9972856607737404 - 0.055711328482574735j,
+        0.7203409443341484 - 0.3768707054428494j,
+        0.22471909635199627 + 5.012736017316556e-05j,
+        0.7203761007411216 + 0.37686005913550147j,
+        0.997285711218704 + 0.05571081202154723j,
+        0.9993876591564914 + 0.02768022312120196j,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGS))
+def test_golden_values(name):
+    out = RESPONSES[name](GRIDS[name], *ARGS[name])
+    assert out.shape == GRIDS[name].shape
+    assert out.dtype == np.complex128
+    np.testing.assert_allclose(out[GOLDEN_INDICES], GOLDEN[name], rtol=1e-13, atol=0)
+
+
+def test_scalar_equals_array_element():
+    # a scalar must take the same arithmetic as a grid: equal to the grid's
+    # element bit for bit, and returned as a Python number
+    def psd(offset):
+        return psd_blue_pump(offset, kappa=TWO_PI * 250e3, kappa_e=TWO_PI * 25e3,
+                             gamma0=TWO_PI * 22e3, lf_frequency=TWO_PI * 391e6,
+                             g=TWO_PI * 27e3, detuning=TWO_PI * 391e6, n_lf=10.0,
+                             n_cavity=0.0, n_add_eff=28.8)
+
+    cases = [(name, lambda om, name=name: RESPONSES[name](om, *ARGS[name]),
+              GRIDS[name], complex) for name in sorted(ARGS)]
+    cases.append(("psd_blue_pump", psd, TWO_PI * np.linspace(-391.3e6, -390.7e6, 4001),
+                  float))
+    for name, func, grid, kind in cases:
+        arr = func(grid)
+        for i in [7] + GOLDEN_INDICES:
+            one = func(grid[i])
+            assert type(one) is kind, name
+            assert one == arr[i], (name, i)

@@ -303,3 +303,19 @@ class TestRecordTypes:
         ThermalState(0.015, 0.0, 4.0, (5.0 / 0.45) - 1.0, 0.55)
         with pytest.raises(DomainError):
             ThermalState(0.015, 0.0, 4.0, 4.0, 0.55)
+
+
+def test_psd_blue_pump_golden_values():
+    # values recorded at fixed grid indices, symmetric about the spectral peak
+    grid = TWO_PI * np.linspace(-391.3e6, -390.7e6, 4001)
+    out = psd_blue_pump(grid, kappa=TWO_PI * 250e3, kappa_e=TWO_PI * 25e3,
+                        gamma0=TWO_PI * 22e3, lf_frequency=TWO_PI * 391e6,
+                        g=TWO_PI * 27e3, detuning=TWO_PI * 391e6, n_lf=10.0,
+                        n_cavity=0.0, n_add_eff=28.8)
+    assert out.shape == grid.shape
+    assert out.dtype == np.float64
+    golden = [29.300457099366643, 29.304934728836393, 30.31650417703558,
+              39.86860987836556, 30.31650417703558, 29.304934728836393,
+              29.300457099366643]
+    np.testing.assert_allclose(out[[0, 1000, 1900, 2000, 2100, 3000, 4000]], golden,
+                               rtol=1e-13, atol=0)
