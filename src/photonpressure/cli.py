@@ -93,18 +93,21 @@ def parse_grid(spec: str, default=None):
     return np.linspace(start, stop, points)
 
 
-def _probe_grid(args, cfg: dict, model: str = "pumped"):
-    """``--grid``, else ``--points`` around the probed resonance, built only then.
+def _probed_omega0(cfg: dict, model: str) -> str:
+    """Key of the probed resonance: "lf.omega0" for "lf_pumped", and for "bare"
+    without hf.omega0 as in :func:`synth_s11`; "hf.omega0" otherwise."""
+    if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in cfg):
+        return "lf.omega0"
+    return "hf.omega0"
 
-    lf.omega0 +-200 kHz for "lf_pumped", and for "bare" without hf.omega0 as in
-    :func:`synth_s11`; hf.omega0 +-2 MHz otherwise.
-    """
+
+def _probe_grid(args, cfg: dict, model: str = "pumped"):
+    """``--grid``, else ``--points`` around the probed resonance, built only then:
+    +-200 kHz around lf.omega0, +-2 MHz around hf.omega0."""
     if args.grid is not None:
         return parse_grid(args.grid)
-    if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in cfg):
-        center, half = need(cfg, "lf.omega0") / TWO_PI, 2e5
-    else:
-        center, half = need(cfg, "hf.omega0") / TWO_PI, 2e6
+    key = _probed_omega0(cfg, model)
+    center, half = need(cfg, key) / TWO_PI, (2e5 if key == "lf.omega0" else 2e6)
     return np.linspace(center - half, center + half, args.points)
 
 
@@ -229,11 +232,7 @@ def cmd_respond(args) -> int:
     if args.model != "bare":
         cfg.setdefault("drive.detuning", resolve_detuning(cfg))
     trace = synth_s11(args.model, cfg, grid, noise=noise_from(cfg, args.seed))
-    if args.out:
-        write_complex_trace(args.out, trace)
-    else:
-        for f, v in zip(trace.frequency_hz, trace.values):
-            sys.stdout.write(f"{f:.17g} {v.real:.17g} {v.imag:.17g}\n")
+    write_complex_trace(args.out, trace)
     return EXIT_OK
 
 
@@ -243,13 +242,9 @@ def cmd_backaction(args) -> int:
     kappa_eff = need(cfg, "drive.kappa_eff")
     grid = parse_grid(args.grid, np.linspace(-3e5, 3e5, args.points))
     ba = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, args.sideband)
-    columns = [grid, ba.frequency_shift / TWO_PI, ba.damping_shift / TWO_PI]
-    labels = ["offset_hz", "frequency_shift_hz", "damping_shift_hz"]
-    if args.out:
-        write_columns(args.out, columns, labels, header={"sideband": args.sideband})
-    else:
-        for row in zip(*columns):
-            sys.stdout.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    write_columns(args.out, [grid, ba.frequency_shift / TWO_PI, ba.damping_shift / TWO_PI],
+                  {"columns": "offset_hz frequency_shift_hz damping_shift_hz",
+                   "sideband": args.sideband})
     return EXIT_OK
 
 
@@ -264,12 +259,8 @@ def cmd_nms(args) -> int:
     modes = dynamics.normal_modes(TWO_PI * grid, kappa, gamma0, lf)
     columns = [grid, modes.upper.real / TWO_PI, modes.lower.real / TWO_PI,
                modes.linewidth_upper / TWO_PI, modes.linewidth_lower / TWO_PI]
-    labels = ["g_hz", "upper_hz", "lower_hz", "linewidth_upper_hz", "linewidth_lower_hz"]
-    if args.out:
-        write_columns(args.out, columns, labels)
-    else:
-        for row in zip(*columns):
-            sys.stdout.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    write_columns(args.out, columns, {"columns": "g_hz upper_hz lower_hz "
+                                                 "linewidth_upper_hz linewidth_lower_hz"})
     return EXIT_OK
 
 
@@ -294,11 +285,7 @@ def cmd_psd(args) -> int:
     elif args.units == "dbm":
         values = 10.0 * np.log10(trace.values / 1e-3)
         trace = SpectrumTrace(trace.frequency_hz, values, units="dBm/Hz")
-    if args.out:
-        write_spectrum_trace(args.out, trace)
-    else:
-        for f, v in zip(trace.frequency_hz, trace.values):
-            sys.stdout.write(f"{f:.17g} {v:.17g}\n")
+    write_spectrum_trace(args.out, trace)
     return EXIT_OK
 
 
@@ -366,7 +353,7 @@ def cmd_synth(args) -> int:
         cfg.setdefault("drive.detuning", resolve_detuning(cfg))
     background = None
     if any(k.startswith("background.") for k in cfg):
-        center = need(cfg, "hf.omega0", cfg.get("lf.omega0"))
+        center = need(cfg, _probed_omega0(cfg, args.model))
         background = dynamics.BackgroundModel(
             amplitude_offset=need(cfg, "background.amplitude_offset", 1.0),
             amplitude_slope=need(cfg, "background.amplitude_slope", 0.0),
@@ -405,13 +392,10 @@ def cmd_sweep(args) -> int:
         trace = synth_s11("pumped", point, probe)
         rows.append(20.0 * np.log10(np.abs(trace.values)))
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# outer: {key}\n")
-        fh.write("# columns: outer_value then |S11| in dB per probe point\n")
-        fh.write("# probe_hz: " + " ".join(format(f, ".17g") for f in probe) + "\n")
-        for value, row in zip(outer, rows):
-            fh.write(format(value, ".17g") + " "
-                     + " ".join(format(v, ".9g") for v in row) + "\n")
+    header = {"outer": key, "columns": "outer_value then |S11| in dB per probe point",
+              "probe_hz": " ".join(format(f, ".17g") for f in probe)}
+    write_columns(args.out, [outer, *np.transpose(rows)], header,
+                  [".17g"] + [".9g"] * probe.size)
     return EXIT_OK
 
 

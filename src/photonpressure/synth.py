@@ -72,6 +72,9 @@ def synth_s11(model: str, params: dict, grid_hz, background: BackgroundModel | N
     model reads the hf.* keys and falls back to the lf.* ones, so a single
     resonator of either kind can be synthesized.
     """
+    if background is not None and background.circle_rotation:
+        raise ConfigError("apply the circle rotation inside the response, "
+                          "not in the synthesized background")
     grid = np.asarray(grid_hz, dtype=float)
     omega = 2.0 * np.pi * grid
     if model == "bare":
@@ -99,9 +102,6 @@ def synth_s11(model: str, params: dict, grid_hz, background: BackgroundModel | N
 
     if background is not None:
         vals = vals * background.evaluate(omega)
-        if background.circle_rotation:
-            raise ConfigError("apply the circle rotation inside the response, "
-                              "not in the synthesized background")
     return ComplexTrace(grid, _apply_noise(vals, noise))
 
 

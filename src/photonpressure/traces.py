@@ -1,14 +1,20 @@
 """Trace containers and the plain-text file formats.
 
-Complex reflection traces are stored as three whitespace-separated columns
-(frequency_hz, re, im); spectra as two columns (frequency_hz, value) with a
-header line declaring the units.  Comment lines start with '#'.  Parameter
-sets and fit reports are flat JSON documents with dotted keys and SI values.
+Every numeric table goes through :func:`write_columns`: '# key: value' header
+lines, then one row of whitespace-separated numbers per line, in ".17g" unless
+a column asks for another format.  Complex reflection traces are three columns
+(frequency_hz, re, im); spectra two columns (frequency_hz, value) with a
+'# units:' line.  The ``sweep`` map has '# outer:', '# columns:' and
+'# probe_hz:' lines, then one row per outer value: the value in ".17g", then
+|S11| in dB in ".9g" per probe point.  On standard output the same data rows
+are written without the '#' lines.  Parameter sets and fit reports are flat
+JSON documents with dotted keys and SI values.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,15 +123,22 @@ def read_points(path, n_columns=None):
     return header, np.asarray(rows, dtype=float)
 
 
-def write_columns(path, columns, labels, header=None):
-    """Write numeric columns with a '# columns: ...' header line."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
+def write_columns(path, columns, header, formats=None):
+    """Write numeric columns as text rows, one ``%``-format spec per column.
+
+    ``formats`` defaults to ".17g" for every column.  To a file, ``header``
+    entries come first, in order, as '# key: value' lines; with no ``path``
+    the data rows alone go to standard output.
+    """
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    fmt = " ".join("%" + spec for spec in formats or [".17g"] * len(cols)) + "\n"
+    rows = (fmt % values for values in zip(*cols))
+    if not path:
+        sys.stdout.writelines(rows)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# columns: " + " ".join(labels) + "\n")
-        for key, value in (header or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        for row in zip(*cols):
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        fh.writelines(f"# {key}: {value}\n" for key, value in header.items())
+        fh.writelines(rows)
 
 
 def read_complex_trace(path) -> ComplexTrace:
@@ -136,7 +149,7 @@ def read_complex_trace(path) -> ComplexTrace:
 
 def write_complex_trace(path, trace: ComplexTrace) -> None:
     write_columns(path, [trace.frequency_hz, trace.values.real, trace.values.imag],
-                  ["frequency_hz", "re", "im"])
+                  {"columns": "frequency_hz re im"})
 
 
 def read_spectrum_trace(path) -> SpectrumTrace:
@@ -147,7 +160,7 @@ def read_spectrum_trace(path) -> SpectrumTrace:
 
 def write_spectrum_trace(path, trace: SpectrumTrace) -> None:
     write_columns(path, [trace.frequency_hz, trace.values],
-                  ["frequency_hz", "value"], header={"units": trace.units})
+                  {"columns": "frequency_hz value", "units": trace.units})
 
 
 def read_params(path) -> dict:

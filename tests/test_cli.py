@@ -12,7 +12,7 @@ import pytest
 import photonpressure
 from photonpressure.cli import main
 from photonpressure.squid import squid_frequency, squid_spec_from_fit
-from photonpressure.traces import read_points
+from photonpressure.traces import read_complex_trace, read_points
 
 TWO_PI = 2 * math.pi
 
@@ -100,6 +100,34 @@ class TestReproducibility:
             assert run("respond", "--model", "bare", "--preset", "lf", *grid,
                        "--out", str(b)) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["respond", "--preset", "strong_coupling_D", "--points", "101"],
+        ["backaction", "--preset", "backaction", "--sideband", "blue", "--points", "101"],
+        ["nms", "--preset", "strong_coupling_D", "--points", "101"],
+        ["psd", "--preset", "ppia", "--set", "thermal.n_th=4", "--units", "dbm",
+         "--points", "101"],
+    ], ids=["respond", "backaction", "nms", "psd"])
+    def test_stdout_is_the_file_without_comments(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.dat"
+        assert run(*argv, "--out", str(out)) == 0
+        assert run(*argv) == 0
+        rows = [line for line in out.read_bytes().splitlines(True)
+                if not line.startswith(b"#")]
+        assert capsys.readouterr().out.encode() == b"".join(rows)
+
+    def test_lf_pumped_background_is_referenced_to_lf(self, tmp_path):
+        # the background slope is referenced to the probed lf resonance, not to
+        # hf.omega0 5.45 GHz away, where it would scale |S11| to ~30
+        argv = ["synth", "--model", "lf_pumped", "--preset", "strong_coupling_D",
+                "--set", "lf.gamma_i=46495.57", "--set", "lf.gamma_e=86708.65"]
+        plain, shaped = tmp_path / "plain.dat", tmp_path / "shaped.dat"
+        assert run(*argv, "--out", str(plain)) == 0
+        assert run(*argv, "--set", "background.amplitude_slope=1e-9",
+                   "--out", str(shaped)) == 0
+        np.testing.assert_allclose(np.abs(read_complex_trace(shaped).values),
+                                   np.abs(read_complex_trace(plain).values),
+                                   rtol=0, atol=1e-2)
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
@@ -249,6 +277,24 @@ class TestSimulationCommands:
         _, data = read_points(out)
         dips = data[:, 1:].argmin(axis=1)
         assert np.all(dips == dips[0])
+
+    def test_sweep_map_format(self, tmp_path):
+        out = tmp_path / "sweep.dat"
+        assert run("sweep", "--preset", "strong_coupling_C",
+                   "--outer", "drive.g:0:2e5:3",
+                   "--grid", "5.8428e9:5.8452e9:5", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        probe = np.linspace(5.8428e9, 5.8452e9, 5)
+        assert lines[:3] == [
+            "# outer: drive.g",
+            "# columns: outer_value then |S11| in dB per probe point",
+            "# probe_hz: " + " ".join(format(f, ".17g") for f in probe)]
+        header, data = read_points(out, n_columns=6)
+        assert header["outer"] == "drive.g"
+        np.testing.assert_array_equal(data[:, 0], [0.0, 1e5, 2e5])
+        for line, row in zip(lines[3:], data, strict=True):
+            assert line == " ".join([format(row[0], ".17g")]
+                                    + [format(v, ".9g") for v in row[1:]])
 
     def test_sweep_mirrors_under_offset_sign(self, tmp_path):
         # flipping the pump offset mirrors the map about the cavity center

@@ -4,8 +4,9 @@ import pytest
 from photonpressure.errors import DomainError, TraceFormatError
 from photonpressure.traces import (ComplexTrace, SpectrumTrace, read_params,
                                    read_complex_trace, read_points,
-                                   read_spectrum_trace, write_complex_trace,
-                                   write_params, write_spectrum_trace)
+                                   read_spectrum_trace, write_columns,
+                                   write_complex_trace, write_params,
+                                   write_spectrum_trace)
 
 
 class TestContainers:
@@ -33,6 +34,19 @@ class TestFileRoundTrips:
         back = read_complex_trace(path)
         np.testing.assert_allclose(back.frequency_hz, freq, rtol=0, atol=0)
         np.testing.assert_allclose(back.values, vals, rtol=0, atol=0)
+
+        # one format spec per column; every data line is its values, re-formatted
+        formats = [".17g", ".9g", ".9g"]
+        write_columns(path, [freq, vals.real, vals.imag],
+                      {"columns": "frequency_hz re im", "note": "x"}, formats)
+        header, data = read_points(path, n_columns=3)
+        assert header == {"columns": "frequency_hz re im", "note": "x"}
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# columns: frequency_hz re im", "# note: x"]
+        for line, row in zip(lines[2:], data, strict=True):
+            assert line == " ".join(format(v, spec) for v, spec in zip(row, formats))
+        np.testing.assert_array_equal(data[:, 0], freq)
+        np.testing.assert_allclose(data[:, 1], vals.real, rtol=1e-8, atol=0)
 
     def test_spectrum_trace_units_header(self, tmp_path):
         path = tmp_path / "psd.dat"
