@@ -46,7 +46,6 @@ class LumpedResonatorSpec:
     coupling_capacitance: float       # F
     feedline_impedance: float = 50.0  # ohm
     total_inductance: float | None = None          # H
-    kinetic_inductance_per_square: float | None = None  # H/sq, informational
 
     def __post_init__(self):
         if self.plate_area <= 0:

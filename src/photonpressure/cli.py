@@ -12,7 +12,8 @@ synth       synthetic traces with background and seeded noise
 sweep       2-D |S11| map in dB (outer parameter x probe frequency)
 
 Parameters come from --preset, then --params FILE (flat JSON), then repeated
---set KEY=VALUE overrides, in increasing precedence.  Grids are given as
+--set KEY=VALUE overrides, in increasing precedence (see :func:`apply_layer`);
+:mod:`synth` turns the flat set into model inputs.  Grids are given as
 START:STOP:POINTS in Hz.  Exit codes: 0 success, 2 configuration error,
 3 parse error, 4 domain error, 5 fit did not converge.
 """
@@ -20,20 +21,20 @@ START:STOP:POINTS in Hz.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import circuit, dynamics, noise, squid
+from . import circuit, dynamics, squid
 from .constants import hbar
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PhotonPressureError, TraceFormatError)
 from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
-from .lsq import FitResult
 from .presets import need, preset as load_preset
-from .synth import NoiseSpec, synth_psd, synth_s11
+from .synth import (background_from, background_params, cavity_linewidth,
+                    detection_from, noise_from, probed_resonance, pump_detuning,
+                    synth_psd, synth_s11)
 from .traces import (SpectrumTrace, read_complex_trace, read_params,
                      read_points, read_spectrum_trace, write_columns,
                      write_complex_trace, write_params, write_spectrum_trace)
@@ -59,18 +60,30 @@ def _parse_set(entry: str):
         return key.strip(), value.strip()
 
 
+def apply_layer(cfg: dict, layer: dict) -> None:
+    """Update ``cfg`` with one parameter layer.  A layer that sets
+    drive.sideband or drive.sideband_offset picks the pump by sideband, so it
+    drops the drive.detuning it inherits; setting both kinds is an error."""
+    if "drive.sideband" in layer or "drive.sideband_offset" in layer:
+        if "drive.detuning" in layer:
+            raise ConfigError("one layer sets both drive.detuning and "
+                              "drive.sideband or drive.sideband_offset")
+        cfg.pop("drive.detuning", None)
+    cfg.update(layer)
+
+
 def build_config(args) -> dict:
+    """--preset, then --params, then all --set entries as one layer."""
     cfg: dict = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         try:
-            cfg.update(load_preset(args.preset))
+            preset = load_preset(args.preset)
         except KeyError as exc:
             raise ConfigError(str(exc)) from None
-    if getattr(args, "params", None):
-        cfg.update(read_params(args.params))
-    for entry in getattr(args, "set", None) or []:
-        key, value = _parse_set(entry)
-        cfg[key] = value
+        apply_layer(cfg, preset)
+    if args.params:
+        apply_layer(cfg, read_params(args.params))
+    apply_layer(cfg, dict(_parse_set(entry) for entry in args.set or []))
     return cfg
 
 
@@ -93,62 +106,14 @@ def parse_grid(spec: str, default=None):
     return np.linspace(start, stop, points)
 
 
-def _probed_omega0(cfg: dict, model: str) -> str:
-    """Key of the probed resonance: "lf.omega0" for "lf_pumped", and for "bare"
-    without hf.omega0 as in :func:`synth_s11`; "hf.omega0" otherwise."""
-    if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in cfg):
-        return "lf.omega0"
-    return "hf.omega0"
-
-
 def _probe_grid(args, cfg: dict, model: str = "pumped"):
     """``--grid``, else ``--points`` around the probed resonance, built only then:
     +-200 kHz around lf.omega0, +-2 MHz around hf.omega0."""
     if args.grid is not None:
         return parse_grid(args.grid)
-    key = _probed_omega0(cfg, model)
+    key = probed_resonance(cfg, model)
     center, half = need(cfg, key) / TWO_PI, (2e5 if key == "lf.omega0" else 2e6)
     return np.linspace(center - half, center + half, args.points)
-
-
-def resolve_detuning(cfg: dict) -> float:
-    """Pump detuning from the cavity, possibly via a sideband offset."""
-    sideband = str(cfg.get("drive.sideband", "red"))
-    if sideband not in ("red", "blue"):
-        raise ConfigError(f"drive.sideband must be red or blue, not {sideband!r}")
-    if "drive.detuning" in cfg:
-        return need(cfg, "drive.detuning")
-    lf = need(cfg, "lf.omega0")
-    offset = need(cfg, "drive.sideband_offset", 0.0)
-    sign = -1.0 if sideband == "red" else 1.0
-    return sign * lf + offset
-
-
-def detection_from(cfg: dict) -> noise.DetectionChain:
-    return noise.DetectionChain(
-        hemt_noise_temperature=need(cfg, "detection.hemt_noise_temperature", 5.5),
-        hemt_added_photons=need(cfg, "detection.hemt_added_photons", 20.0),
-        output_efficiency=need(cfg, "detection.output_efficiency", 0.7),
-        total_gain=need(cfg, "detection.total_gain", 1e7),
-        measurement_bandwidth=need(cfg, "detection.measurement_bandwidth", 200.0),
-        input_attenuation_db=need(cfg, "detection.input_attenuation_db", 0.0),
-    )
-
-
-def noise_from(cfg: dict, seed: int) -> NoiseSpec | None:
-    kind = str(cfg.get("noise.kind", "none"))
-    sigma = need(cfg, "noise.sigma", 0.0)
-    if kind == "none" or sigma == 0.0:
-        return None
-    return NoiseSpec(kind, sigma, seed=seed)
-
-
-def emit_report(report: dict, out_path):
-    if out_path:
-        write_params(out_path, report)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
 
 
 # --- commands ---------------------------------------------------------------
@@ -222,15 +187,13 @@ def cmd_params(args) -> int:
 
     if not report:
         raise ConfigError("no geometry inputs found (geometry.*, idc.*, squid.*)")
-    emit_report(report, args.out)
+    write_params(args.out, report)
     return EXIT_OK
 
 
 def cmd_respond(args) -> int:
     cfg = build_config(args)
     grid = _probe_grid(args, cfg, args.model)
-    if args.model != "bare":
-        cfg.setdefault("drive.detuning", resolve_detuning(cfg))
     trace = synth_s11(args.model, cfg, grid, noise=noise_from(cfg, args.seed))
     write_complex_trace(args.out, trace)
     return EXIT_OK
@@ -250,13 +213,9 @@ def cmd_backaction(args) -> int:
 
 def cmd_nms(args) -> int:
     cfg = build_config(args)
-    kappa = need(cfg, "hf.kappa_i", 0.0) + need(cfg, "hf.kappa_e", 0.0)
-    if kappa <= 0:
-        kappa = need(cfg, "drive.kappa_eff")
-    gamma0 = need(cfg, "lf.gamma0")
-    lf = need(cfg, "lf.omega0")
     grid = parse_grid(args.grid, np.linspace(0.0, 6e5, args.points))
-    modes = dynamics.normal_modes(TWO_PI * grid, kappa, gamma0, lf)
+    modes = dynamics.normal_modes(TWO_PI * grid, cavity_linewidth(cfg),
+                                  need(cfg, "lf.gamma0"), need(cfg, "lf.omega0"))
     columns = [grid, modes.upper.real / TWO_PI, modes.lower.real / TWO_PI,
                modes.linewidth_upper / TWO_PI, modes.linewidth_lower / TWO_PI]
     write_columns(args.out, columns, {"columns": "g_hz upper_hz lower_hz "
@@ -266,7 +225,6 @@ def cmd_nms(args) -> int:
 
 def cmd_psd(args) -> int:
     cfg = build_config(args)
-    cfg.setdefault("drive.detuning", resolve_detuning(cfg))
     if "thermal.n_lf" not in cfg:
         coop = need(cfg, "drive.cooperativity")
         if coop >= 1:
@@ -274,7 +232,7 @@ def cmd_psd(args) -> int:
         n_th = need(cfg, "thermal.n_th")
         cfg["thermal.n_lf"] = (n_th + 1.0) / (1.0 - coop) - 1.0
     detection = detection_from(cfg)
-    peak = (need(cfg, "hf.omega0") + need(cfg, "drive.detuning")
+    peak = (need(cfg, "hf.omega0") + pump_detuning(cfg, "blue")
             - need(cfg, "lf.omega0")) / TWO_PI
     grid = parse_grid(args.grid, peak + np.linspace(-1.5e5, 1.5e5, args.points))
     trace = synth_psd(cfg, grid, detection, noise=noise_from(cfg, args.seed))
@@ -289,34 +247,16 @@ def cmd_psd(args) -> int:
     return EXIT_OK
 
 
-def _fit_report(fit: FitResult) -> dict:
-    report = fit.as_dict()
-    if fit.background is not None:
-        bg = fit.background
-        report.update({
-            "background.amplitude_offset": bg.amplitude_offset,
-            "background.amplitude_slope": bg.amplitude_slope,
-            "background.phase_offset": bg.phase_offset,
-            "background.phase_slope": bg.phase_slope,
-            "background.circle_rotation": bg.circle_rotation,
-            "background.reference_frequency": bg.reference_frequency,
-        })
-    return report
-
-
 def cmd_fit(args) -> int:
     cfg = build_config(args)
     if args.model in ("bare", "pumped"):
         trace = read_complex_trace(args.infile)
         pumped = None
         if args.model == "pumped":
-            pumped = {"kappa_e": need(cfg, "hf.kappa_e"),
-                      "gamma0": need(cfg, "lf.gamma0"),
-                      "detuning": resolve_detuning(cfg)}
-            if "drive.g" in cfg:
-                pumped["g"] = need(cfg, "drive.g")
-            if "lf.omega0" in cfg:
-                pumped["lf_frequency"] = need(cfg, "lf.omega0")
+            pumped = {"kappa_e": need(cfg, "hf.kappa_e"), "gamma0": need(cfg, "lf.gamma0"),
+                      "detuning": pump_detuning(cfg)}
+            pumped.update({name: need(cfg, key) for name, key in
+                           (("g", "drive.g"), ("lf_frequency", "lf.omega0")) if key in cfg})
         fit = fit_resonance(trace, model=args.model, pumped=pumped)
         if args.out:
             write_complex_trace(str(args.out) + ".trace",
@@ -339,7 +279,10 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         raise ConvergenceError(
             f"fit did not converge after {fit.iterations} iterations: {fit.message}")
-    emit_report(_fit_report(fit), args.out)
+    report = fit.as_dict()
+    if fit.background is not None:
+        report.update(background_params(fit.background))
+    write_params(args.out, report)
     return EXIT_OK
 
 
@@ -349,20 +292,9 @@ def cmd_synth(args) -> int:
     if not args.out:
         raise ConfigError("synth requires --out")
     cfg = build_config(args)
-    if args.model != "bare":
-        cfg.setdefault("drive.detuning", resolve_detuning(cfg))
-    background = None
-    if any(k.startswith("background.") for k in cfg):
-        center = need(cfg, _probed_omega0(cfg, args.model))
-        background = dynamics.BackgroundModel(
-            amplitude_offset=need(cfg, "background.amplitude_offset", 1.0),
-            amplitude_slope=need(cfg, "background.amplitude_slope", 0.0),
-            phase_offset=need(cfg, "background.phase_offset", 0.0),
-            phase_slope=need(cfg, "background.phase_slope", 0.0),
-            reference_frequency=need(cfg, "background.reference_frequency", center),
-        )
     trace = synth_s11(args.model, cfg, _probe_grid(args, cfg, args.model),
-                      background=background, noise=noise_from(cfg, args.seed))
+                      background=background_from(cfg, args.model),
+                      noise=noise_from(cfg, args.seed))
     write_complex_trace(args.out, trace)
     return EXIT_OK
 
@@ -385,10 +317,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in outer:
         point = dict(cfg)
-        point[key] = float(value)
-        if key in ("drive.sideband_offset", "drive.sideband"):
-            point.pop("drive.detuning", None)
-        point.setdefault("drive.detuning", resolve_detuning(point))
+        apply_layer(point, {key: float(value)})
         trace = synth_s11("pumped", point, probe)
         rows.append(20.0 * np.log10(np.abs(trace.values)))
 
@@ -411,15 +340,18 @@ def _int_at_least(lowest: int):
     return integer
 
 
-def _add_common(sub, grid_default=True):
+def _add_common(sub, grid=True, seed=False, units=False):
+    """The options every command reads, plus the optional ones it reads."""
     sub.add_argument("--preset", help="named parameter set")
     sub.add_argument("--params", help="flat JSON parameter file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one parameter (repeatable)")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", type=_int_at_least(0), default=0)
-    sub.add_argument("--units", choices=("si", "photon", "dbm"), default="photon")
-    if grid_default:
+    if seed:
+        sub.add_argument("--seed", type=_int_at_least(0), default=0)
+    if units:
+        sub.add_argument("--units", choices=("si", "photon", "dbm"), default="photon")
+    if grid:
         sub.add_argument("--grid", help="START:STOP:POINTS in Hz")
         sub.add_argument("--points", type=_int_at_least(2), default=2001,
                          help="points of the default grid")
@@ -432,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("params", help="derive circuit parameters")
-    _add_common(p, grid_default=False)
+    _add_common(p, grid=False)
     p.set_defaults(func=cmd_params)
 
     p = commands.add_parser("respond", help="reflection response trace")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--model", choices=("bare", "pumped", "lf_pumped"),
                    default="pumped")
     p.set_defaults(func=cmd_respond)
@@ -451,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nms)
 
     p = commands.add_parser("psd", help="blue-pump output spectrum")
-    _add_common(p)
+    _add_common(p, seed=True, units=True)
     p.set_defaults(func=cmd_psd)
 
     p = commands.add_parser("fit", help="fit a trace file")
-    _add_common(p, grid_default=False)
+    _add_common(p, grid=False)
     p.add_argument("infile", help="input trace file")
     p.add_argument("--model",
                    choices=("bare", "pumped", "lorentzian", "flux_arch", "backaction"),
@@ -463,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = commands.add_parser("synth", help="synthetic measurement data")
-    _add_common(p)
+    _add_common(p, seed=True, units=True)
     p.add_argument("--model", choices=("bare", "pumped", "lf_pumped", "psd"),
                    default="bare")
     p.set_defaults(func=cmd_synth)

@@ -270,8 +270,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
 
     # loose: stage 3 refines the result
     fit2 = least_squares(stage2_residual, (phys0 - ref2) / scale2, jac=stage2_jac,
-                         names=stage2_names, step_tol=1e-4, cost_tol=1e-8,
-                         step_floor=1e-8)
+                         names=stage2_names, step_tol=1e-4, cost_tol=1e-8)
     fit2.params = ref2 + scale2 * fit2.params
     # one tail-free background re-estimate: the fitted resonance divided out
     bg2 = _background_stage(omega, values / resonance(omega, fit2.params),
@@ -306,7 +305,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
 
     fit3 = least_squares(lambda u: full_model(ref3 + scale3 * u) - values,
                          (phys0 - ref3) / scale3, jac=stage3_jac, names=names,
-                         step_tol=1e-11, step_floor=1e-8)
+                         step_tol=1e-11)
     fit3.params = ref3 + scale3 * fit3.params
     fit3.uncertainties = scale3 * fit3.uncertainties
 

@@ -4,7 +4,7 @@ A small, dependency-free Levenberg-Marquardt-style minimizer used by every
 fit in the package.  Complex residual vectors are stacked as (real, imag)
 pairs, and a step is only ever accepted if it does not increase the cost.
 The Jacobian comes from forward finite differences with step
-max(1e-8*|p|, step_floor), unless the caller passes ``jac``: a function of
+max(1e-8*|p|, 1e-12), unless the caller passes ``jac``: a function of
 the parameter vector returning the (m, n) derivative of the residual, real
 or complex like the residual itself and stacked the same way (real rows,
 then imaginary rows).  An analytic ``jac`` saves the n extra residual
@@ -82,16 +82,13 @@ def _stack(values) -> np.ndarray:
 
 
 def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
-                  step_tol=1e-9, cost_tol=1e-12, step_floor=1e-12) -> FitResult:
+                  step_tol=1e-9, cost_tol=1e-12) -> FitResult:
     """Minimize sum(|residual(p)|^2) starting from ``x0``.
 
     ``residual`` maps a parameter vector to a real or complex residual
     array.  Returns a :class:`FitResult`; never raises on non-convergence.
     ``jac``, when given, maps a parameter vector to the residual's (m, n)
-    derivative and replaces the finite differences.  ``step_floor`` is the
-    absolute lower bound of the finite-difference step; callers fitting
-    parameters normalized to order 1 should raise it to ~1e-8 so the
-    Jacobian stays above the rounding noise near zero crossings.
+    derivative and replaces the finite differences.
     """
     p = np.asarray(x0, dtype=float).copy()
     n = p.size
@@ -123,7 +120,7 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
             # forward-difference Jacobian of the stacked residual
             jmat = np.empty((m, n))
             for j in range(n):
-                h = max(1e-8 * abs(p[j]), step_floor)
+                h = max(1e-8 * abs(p[j]), 1e-12)
                 q = p.copy()
                 q[j] += h
                 jmat[:, j] = (evaluate(q) - r) / h

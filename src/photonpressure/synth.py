@@ -7,6 +7,11 @@ dictionaries (the same schema the presets and the CLI use), read through
 :func:`presets.need`: a missing key or a value that is not a finite number is
 a :class:`ConfigError` naming its path.
 
+This module is the one place where a parameter set becomes model inputs:
+the pump detuning, the cavity linewidth, the probed resonance, the background
+(one ``background.<field>`` key per :class:`BackgroundModel` field, which is
+also how a fit report writes it), the noise and the detection chain.
+
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 identical inputs give bit-identical traces, and independent streams are safe
 to generate in parallel.
@@ -14,7 +19,7 @@ to generate in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,7 +30,9 @@ from .constants import hbar
 from .presets import need
 from .traces import ComplexTrace, SpectrumTrace
 
-__all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd"]
+__all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd", "pump_detuning",
+           "cavity_linewidth", "probed_resonance", "background_from",
+           "background_params", "noise_from", "detection_from"]
 
 _NOISE_KINDS = ("none", "additive-complex-gaussian", "multiplicative-gaussian")
 
@@ -53,6 +60,68 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
 
 
+def pump_detuning(params: dict, sideband: str = "red") -> float:
+    """Pump detuning: drive.detuning, else -lf.omega0 (red) or +lf.omega0 (blue,
+    by drive.sideband or else ``sideband``) plus drive.sideband_offset."""
+    sideband = str(params.get("drive.sideband", sideband))
+    if sideband not in ("red", "blue"):
+        raise ConfigError(f"drive.sideband must be red or blue, not {sideband!r}")
+    if "drive.detuning" in params:
+        return need(params, "drive.detuning")
+    sign = -1.0 if sideband == "red" else 1.0
+    return sign * need(params, "lf.omega0") + need(params, "drive.sideband_offset", 0.0)
+
+
+def cavity_linewidth(params: dict) -> float:
+    """hf.kappa_i + hf.kappa_e when positive, else drive.kappa_eff."""
+    kappa = need(params, "hf.kappa_i", 0.0) + need(params, "hf.kappa_e", 0.0)
+    return kappa if kappa > 0 else need(params, "drive.kappa_eff")
+
+
+def probed_resonance(params: dict, model: str) -> str:
+    """Key of the resonance a reflection ``model`` probes: "lf.omega0" for
+    "lf_pumped", and for "bare" without hf.omega0; "hf.omega0" otherwise."""
+    if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in params):
+        return "lf.omega0"
+    return "hf.omega0"
+
+
+def background_from(params: dict, model: str) -> BackgroundModel | None:
+    """The ``background.<field>`` keys as a :class:`BackgroundModel`, or None
+    without any; absent fields take the dataclass defaults, except that
+    reference_frequency defaults to the probed resonance."""
+    if not any(key.startswith("background.") for key in params):
+        return None
+    defaults = {f.name: f.default for f in fields(BackgroundModel)}
+    defaults["reference_frequency"] = need(params, probed_resonance(params, model))
+    return BackgroundModel(**{name: need(params, f"background.{name}", value)
+                              for name, value in defaults.items()})
+
+
+def background_params(background: BackgroundModel) -> dict:
+    """The keys :func:`background_from` reads back as ``background``."""
+    return {f"background.{name}": value for name, value in asdict(background).items()}
+
+
+def noise_from(params: dict, seed: int) -> NoiseSpec | None:
+    kind = str(params.get("noise.kind", "none"))
+    sigma = need(params, "noise.sigma", 0.0)
+    if kind == "none" or sigma == 0.0:
+        return None
+    return NoiseSpec(kind, sigma, seed=seed)
+
+
+def detection_from(params: dict) -> DetectionChain:
+    return DetectionChain(
+        hemt_noise_temperature=need(params, "detection.hemt_noise_temperature", 5.5),
+        hemt_added_photons=need(params, "detection.hemt_added_photons", 20.0),
+        output_efficiency=need(params, "detection.output_efficiency", 0.7),
+        total_gain=need(params, "detection.total_gain", 1e7),
+        measurement_bandwidth=need(params, "detection.measurement_bandwidth", 200.0),
+        input_attenuation_db=need(params, "detection.input_attenuation_db", 0.0),
+    )
+
+
 def _apply_noise(values, noise: NoiseSpec | None):
     if noise is None or noise.kind == "none" or noise.sigma == 0.0:
         return values
@@ -70,15 +139,15 @@ def synth_s11(model: str, params: dict, grid_hz, background: BackgroundModel | N
     ``model`` is one of "bare", "pumped" (cavity side, probe frequencies are
     absolute) or "lf_pumped" (direct low-frequency reflection).  The "bare"
     model reads the hf.* keys and falls back to the lf.* ones, so a single
-    resonator of either kind can be synthesized.
+    resonator of either kind can be synthesized.  The pumped models take the
+    pump from :func:`pump_detuning` (red by default).  A background's
+    circle_rotation theta turns the resonance as ``fit_resonance`` models it,
+    S -> 1 - (1 - S) e^{i theta}, before the background multiplies it.
     """
-    if background is not None and background.circle_rotation:
-        raise ConfigError("apply the circle rotation inside the response, "
-                          "not in the synthesized background")
     grid = np.asarray(grid_hz, dtype=float)
     omega = 2.0 * np.pi * grid
     if model == "bare":
-        if "hf.omega0" in params:
+        if probed_resonance(params, model) == "hf.omega0":
             vals = s11_bare(omega, need(params, "hf.omega0"),
                             need(params, "hf.kappa_i"), need(params, "hf.kappa_e"))
         else:
@@ -88,19 +157,18 @@ def synth_s11(model: str, params: dict, grid_hz, background: BackgroundModel | N
         vals = s11_pumped(omega, need(params, "hf.omega0"),
                           need(params, "hf.kappa_i"), need(params, "hf.kappa_e"),
                           need(params, "lf.omega0"), need(params, "lf.gamma0"),
-                          need(params, "drive.g"), need(params, "drive.detuning"))
+                          need(params, "drive.g"), pump_detuning(params))
     elif model == "lf_pumped":
-        kappa = need(params, "hf.kappa_i", 0.0) + need(params, "hf.kappa_e", 0.0)
-        if kappa <= 0:
-            kappa = need(params, "drive.kappa_eff")
         vals = lf_s11_pumped(omega, need(params, "lf.omega0"),
                              need(params, "lf.gamma_i"), need(params, "lf.gamma_e"),
-                             need(params, "drive.g"), need(params, "drive.detuning"),
-                             kappa)
+                             need(params, "drive.g"), pump_detuning(params),
+                             cavity_linewidth(params))
     else:
         raise ConfigError(f"unknown reflection model {model!r}")
 
     if background is not None:
+        if background.circle_rotation:  # at 0, 1 - (1 - S) need not equal S bit for bit
+            vals = 1.0 - (1.0 - vals) * np.exp(1j * background.circle_rotation)
         vals = vals * background.evaluate(omega)
     return ComplexTrace(grid, _apply_noise(vals, noise))
 
@@ -110,13 +178,13 @@ def synth_psd(params: dict, grid_hz, detection: DetectionChain,
     """Synthesize a detected power spectral density, W/Hz.
 
     The grid is absolute (Hz) around the cavity; the pump sits at
-    hf.omega0 + drive.detuning, and the photon-units spectrum is scaled by
-    gain * hbar * omega0 (narrow band, fixed photon energy).
+    hf.omega0 + :func:`pump_detuning` (blue by default), and the photon-units
+    spectrum is scaled by gain * hbar * omega0 (narrow band, fixed photon
+    energy).
     """
     grid = np.asarray(grid_hz, dtype=float)
     omega0 = need(params, "hf.omega0")
-    detuning = need(params, "drive.detuning",
-                    need(params, "lf.omega0") + need(params, "drive.sideband_offset", 0.0))
+    detuning = pump_detuning(params, "blue")
     offsets = 2.0 * np.pi * grid - (omega0 + detuning)
     photons = psd_blue_pump(
         offsets,

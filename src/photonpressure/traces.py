@@ -183,6 +183,10 @@ def read_params(path) -> dict:
 
 
 def write_params(path, params: dict) -> None:
+    """Write a flat JSON document; with no ``path``, to standard output."""
+    text = json.dumps(params, indent=2, sort_keys=True) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

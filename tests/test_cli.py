@@ -15,6 +15,7 @@ from photonpressure.squid import squid_frequency, squid_spec_from_fit
 from photonpressure.traces import read_complex_trace, read_points
 
 TWO_PI = 2 * math.pi
+LF = TWO_PI * 391e6  # lf.omega0 of the strong_coupling and ppia presets
 
 
 def run(*argv):
@@ -79,6 +80,36 @@ class TestExitCodes:
         assert run(*argv, "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["params", "--preset", "geometry", "--seed", "9"],
+        ["params", "--preset", "geometry", "--units", "dbm"],
+        ["respond", "--preset", "strong_coupling_D", "--units", "dbm"],
+        ["backaction", "--preset", "backaction", "--seed", "9"],
+        ["nms", "--preset", "strong_coupling_D", "--units", "dbm"],
+        ["fit", "trace.dat", "--seed", "9"],
+        ["sweep", "--preset", "strong_coupling_D", "--outer", "drive.g:0:1e5:3",
+         "--seed", "9"],
+    ], ids=["params-seed", "params-units", "respond-units", "backaction-seed",
+            "nms-units", "fit-seed", "sweep-seed"])
+    def test_option_the_command_does_not_read_is_config_error(self, tmp_path, argv):
+        out = tmp_path / "out.dat"
+        assert run(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["respond", "--preset", "strong_coupling_D"],
+        ["psd", "--preset", "ppia", "--set", "thermal.n_th=4"],
+        ["sweep", "--preset", "strong_coupling_D", "--outer", "drive.g:0:1e5:3"],
+    ], ids=["respond", "psd", "sweep"])
+    def test_detuning_and_sideband_in_one_layer_is_config_error(self, tmp_path, argv):
+        out = tmp_path / "out.dat"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"drive.detuning": -LF, "drive.sideband": "red"}))
+        assert run(*argv, "--set", "drive.detuning=-2.4e9",
+                   "--set", "drive.sideband_offset=1e5", "--out", str(out)) == 2
+        assert run(*argv, "--params", str(params), "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestReproducibility:
     def test_identical_bytes_for_identical_config(self, tmp_path):
@@ -128,6 +159,38 @@ class TestReproducibility:
         np.testing.assert_allclose(np.abs(read_complex_trace(shaped).values),
                                    np.abs(read_complex_trace(plain).values),
                                    rtol=0, atol=1e-2)
+
+    @pytest.mark.parametrize("argv, sideband, detuning", [
+        (["respond", "--preset", "strong_coupling_D", "--points", "101"],
+         "drive.sideband_offset=1e5", -LF + 1e5),
+        (["respond", "--preset", "strong_coupling_D", "--points", "101"],
+         "drive.sideband=blue", LF),
+        (["psd", "--preset", "ppia", "--set", "thermal.n_th=4", "--points", "101"],
+         "drive.sideband_offset=1e5", LF + 1e5),
+        (["sweep", "--preset", "strong_coupling_D", "--outer", "drive.g:1e5:3e5:3",
+          "--points", "41"], "drive.sideband=blue", LF),
+    ], ids=["respond-offset", "respond-blue", "psd-offset", "sweep-blue"])
+    def test_sideband_keys_replace_the_preset_detuning(self, tmp_path, argv, sideband,
+                                                       detuning):
+        # a later layer's sideband key drops the preset's drive.detuning, so the
+        # run equals one with that detuning given outright
+        by_sideband, explicit, preset = (tmp_path / n for n in ("a.dat", "b.dat", "c.dat"))
+        assert run(*argv, "--set", sideband, "--out", str(by_sideband)) == 0
+        assert run(*argv, "--set", f"drive.detuning={detuning!r}",
+                   "--out", str(explicit)) == 0
+        assert run(*argv, "--out", str(preset)) == 0
+        assert by_sideband.read_bytes() == explicit.read_bytes()
+        assert by_sideband.read_bytes() != preset.read_bytes()
+
+    def test_sideband_in_params_file_replaces_the_preset_detuning(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"drive.sideband_offset": 1e5}))
+        argv = ["respond", "--preset", "strong_coupling_D", "--points", "101"]
+        by_file, explicit = tmp_path / "a.dat", tmp_path / "b.dat"
+        assert run(*argv, "--params", str(params), "--out", str(by_file)) == 0
+        assert run(*argv, "--set", f"drive.detuning={-LF + 1e5!r}",
+                   "--out", str(explicit)) == 0
+        assert by_file.read_bytes() == explicit.read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
@@ -195,6 +258,29 @@ class TestFitRoundTrips:
         assert report["converged"] is True
         corrected = report_path.parent / (report_path.name + ".trace")
         assert corrected.exists()
+
+    def test_circle_rotation_round_trip(self, tmp_path):
+        # synth applies background.circle_rotation, fit recovers it, and the
+        # report fed back through --params reproduces the trace
+        sigma = 1e-3
+        argv = ["synth", "--model", "bare", "--preset", "hf_fit",
+                "--grid", "5.8425e9:5.8455e9:1201"]
+        background = ["--set", "background.amplitude_offset=0.95",
+                      "--set", "background.phase_slope=2e-9",
+                      "--set", "background.circle_rotation=0.1"]
+        noisy, clean, again = (tmp_path / n for n in ("noisy.dat", "clean.dat", "again.dat"))
+        report_path = tmp_path / "report.json"
+        assert run(*argv, *background, "--set", "noise.kind=additive-complex-gaussian",
+                   "--set", f"noise.sigma={sigma}", "--seed", "4", "--out", str(noisy)) == 0
+        assert run(*argv, *background, "--out", str(clean)) == 0
+        assert run("fit", str(noisy), "--model", "bare", "--out", str(report_path)) == 0
+        report = json.loads(report_path.read_text())
+        assert abs(report["theta"] - 0.1) < 3 * report["theta_err"]
+        assert report["background.circle_rotation"] == report["theta"]
+        assert run(*argv, "--params", str(report_path), "--out", str(again)) == 0
+        reproduced = read_complex_trace(again).values
+        assert np.abs(reproduced - read_complex_trace(noisy).values).max() < 6 * sigma
+        assert np.abs(reproduced - read_complex_trace(clean).values).max() < sigma
 
     def test_pumped_fit_recovers_coupling(self, tmp_path):
         trace = tmp_path / "ppit.dat"

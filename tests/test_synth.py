@@ -50,15 +50,16 @@ class TestSynthS11:
         np.testing.assert_allclose(shaped.values, plain.values * 0.9 * np.exp(0.3j),
                                    rtol=1e-14)
 
-    def test_background_rotation_rejected_before_evaluating(self, presets, monkeypatch):
-        def evaluated(*args, **kwargs):
-            raise AssertionError("evaluated the response before checking the background")
-
-        monkeypatch.setattr("photonpressure.synth.s11_bare", evaluated)
-        bg = BackgroundModel(circle_rotation=0.1, reference_frequency=TWO_PI * 5.844e9)
-        with pytest.raises(ConfigError, match="circle rotation inside the response"):
-            synth_s11("bare", presets["hf"], np.linspace(5.8425e9, 5.8455e9, 11),
-                      background=bg)
+    def test_background_rotation_turns_the_resonance(self, presets):
+        # the rotation fit_resonance models: 1 - (1 - S) e^{i theta}, then the
+        # background multiplies it
+        grid = np.linspace(5.8425e9, 5.8455e9, 201)
+        bg = BackgroundModel(0.9, 0.0, 0.3, 0.0, circle_rotation=0.1,
+                             reference_frequency=TWO_PI * 5.844e9)
+        plain = synth_s11("bare", presets["hf"], grid).values
+        turned = synth_s11("bare", presets["hf"], grid, background=bg).values
+        np.testing.assert_allclose(
+            turned, (1.0 - (1.0 - plain) * np.exp(0.1j)) * 0.9 * np.exp(0.3j), rtol=1e-14)
 
     def test_seeded_noise_reproducible(self, presets):
         scene = presets["hf"]
