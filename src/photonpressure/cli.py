@@ -34,7 +34,7 @@ from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonanc
 from .presets import need, preset as load_preset
 from .synth import (background_from, background_params, cavity_linewidth,
                     detection_from, noise_from, probed_resonance, pump_detuning,
-                    synth_psd, synth_s11)
+                    pump_sideband, synth_psd, synth_s11)
 from .traces import (SpectrumTrace, read_complex_trace, read_params,
                      read_points, read_spectrum_trace, write_columns,
                      write_complex_trace, write_params, write_spectrum_trace)
@@ -193,8 +193,9 @@ def cmd_params(args) -> int:
 
 def cmd_respond(args) -> int:
     cfg = build_config(args)
-    grid = _probe_grid(args, cfg, args.model)
-    trace = synth_s11(args.model, cfg, grid, noise=noise_from(cfg, args.seed))
+    trace = synth_s11(args.model, cfg, _probe_grid(args, cfg, args.model),
+                      background=background_from(cfg, args.model),
+                      noise=noise_from(cfg, args.seed))
     write_complex_trace(args.out, trace)
     return EXIT_OK
 
@@ -203,11 +204,12 @@ def cmd_backaction(args) -> int:
     cfg = build_config(args)
     g = need(cfg, "drive.g")
     kappa_eff = need(cfg, "drive.kappa_eff")
+    sideband = pump_sideband(cfg)
     grid = parse_grid(args.grid, np.linspace(-3e5, 3e5, args.points))
-    ba = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, args.sideband)
+    ba = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, sideband)
     write_columns(args.out, [grid, ba.frequency_shift / TWO_PI, ba.damping_shift / TWO_PI],
                   {"columns": "offset_hz frequency_shift_hz damping_shift_hz",
-                   "sideband": args.sideband})
+                   "sideband": sideband})
     return EXIT_OK
 
 
@@ -225,12 +227,6 @@ def cmd_nms(args) -> int:
 
 def cmd_psd(args) -> int:
     cfg = build_config(args)
-    if "thermal.n_lf" not in cfg:
-        coop = need(cfg, "drive.cooperativity")
-        if coop >= 1:
-            raise DomainError("cooperativity >= 1 on the amplifying sideband")
-        n_th = need(cfg, "thermal.n_th")
-        cfg["thermal.n_lf"] = (n_th + 1.0) / (1.0 - coop) - 1.0
     detection = detection_from(cfg)
     peak = (need(cfg, "hf.omega0") + pump_detuning(cfg, "blue")
             - need(cfg, "lf.omega0")) / TWO_PI
@@ -291,12 +287,7 @@ def cmd_synth(args) -> int:
         return cmd_psd(args)
     if not args.out:
         raise ConfigError("synth requires --out")
-    cfg = build_config(args)
-    trace = synth_s11(args.model, cfg, _probe_grid(args, cfg, args.model),
-                      background=background_from(cfg, args.model),
-                      noise=noise_from(cfg, args.seed))
-    write_complex_trace(args.out, trace)
-    return EXIT_OK
+    return cmd_respond(args)
 
 
 def cmd_sweep(args) -> int:
@@ -375,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("backaction", help="sideband backaction curves")
     _add_common(p)
-    p.add_argument("--sideband", choices=("red", "blue"), default="red")
     p.set_defaults(func=cmd_backaction)
 
     p = commands.add_parser("nms", help="hybrid-mode branches vs coupling")

@@ -1,22 +1,17 @@
 """Parameter extraction from measured or synthesized traces.
 
-The central routine is :func:`fit_resonance`, a three-stage fit of a complex
-reflection trace on top of a slowly varying instrumental background:
+The central routine is :func:`fit_resonance`, a background-corrected fit of
+a complex reflection trace on top of a slowly varying instrumental background:
 
 1. mask the resonance region (default: within 2 initial-guess linewidths of
    the initial-guess center) and estimate the background
-   (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline;
-2. divide the background out and fit the ideal response including a
-   resonance-circle rotation theta, seeded by an algebraic circle fit.  This
-   single fit stops at a loose tolerance; the background is then estimated
-   once more from the data divided by the fitted resonance, so the seed of
-   stage 3 is not biased by resonance tails in the baseline;
-3. re-fit the full model jointly, seeded by stages 1-2.  This is the only
-   fit run to the full 1e-11 step / 1e-12 cost tolerance.
-
-Both models pass their analytic Jacobian to the engine in stages 2 and 3.
-``extras["diagnostics"]`` reports, per stage, the iterations, residual
-evaluations, final cost and stop message.
+   (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline in closed
+   form; an algebraic circle fit of the background-divided data seeds the
+   resonance-circle rotation theta and the coupling;
+2. fit resonance and background jointly from that seed, with the analytic
+   Jacobian of either model, to a 1e-11 step / 1e-12 cost tolerance.  This
+   is the only nonlinear fit, so the result's iterations, evaluations,
+   cost history and message describe the whole fit.
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
@@ -115,7 +110,7 @@ def _baseline_phase(omega, values, base_idx):
     return np.concatenate(phases)
 
 
-def _background_stage(omega, values, mask, w_ref):
+def _baseline_background(omega, values, mask, w_ref):
     """Linear amplitude/phase background from the unmasked baseline."""
     base_idx = np.where(~mask)[0]
     w = omega[base_idx] - w_ref
@@ -152,7 +147,7 @@ def _sign(x):
 
 def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | None = None,
                   mask_halfwidths: float = 2.0, min_baseline_fraction: float = 0.25) -> FitResult:
-    """Three-stage background-corrected fit of a complex reflection trace.
+    """Background-corrected fit of a complex reflection trace.
 
     ``model`` selects the resonance term: "bare" fits (omega0, kappa_i,
     kappa_e, theta); "pumped" fits (omega0, kappa_i, g, lf_frequency, theta)
@@ -176,28 +171,28 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
     if span < 5.0 * width0:
         raise DomainError("trace must span at least 5 estimated linewidths")
 
-    # stage 1: background from the off-resonant baseline
+    # background from the off-resonant baseline
     mask = np.abs(omega - center0) <= mask_halfwidths * width0
     if (~mask).sum() < min_baseline_fraction * omega.size:
         raise BackgroundEstimationError(
             f"only {(~mask).sum()} of {omega.size} points are off-resonant; "
             f"need {min_baseline_fraction:.0%}")
-    bg1 = _background_stage(omega, values, mask, w_ref)
+    bg0 = _baseline_background(omega, values, mask, w_ref)
 
-    # stage 2: ideal response on the background-divided data.  The engine
-    # sees dimensionless parameters (frequency as offset from the initial
-    # center in units of the initial width) so the normal matrix stays well
+    # resonance seed from the background-divided data.  The engine sees
+    # dimensionless parameters (frequency as offset from the initial center
+    # in units of the initial width) so the normal matrix stays well
     # conditioned for narrow lines on large carriers.
-    corrected = values / bg1.evaluate(omega)
+    corrected = values / bg0.evaluate(omega)
     theta0, tilt_mag = _circle_rotation_guess(corrected[mask] if mask.sum() >= 8 else corrected)
     kappa_e0 = max(width0 * tilt_mag / 2.0, width0 * 0.01)
     kappa_i0 = max(width0 - kappa_e0, width0 * 0.05)
 
     if model == "bare":
-        stage2_names = ("omega0", "kappa_i", "kappa_e", "theta")
-        ref2 = np.array([center0, 0.0, 0.0, 0.0])
-        scale2 = np.array([width0, width0, width0, 1.0])
-        phys0 = np.array([center0, kappa_i0, kappa_e0, theta0])
+        res_names = ("omega0", "kappa_i", "kappa_e", "theta")
+        res_ref = np.array([center0, 0.0, 0.0, 0.0])
+        res_scale = np.array([width0, width0, width0, 1.0])
+        res0 = np.array([center0, kappa_i0, kappa_e0, theta0])
 
         def resonance(omega_arr, pars):
             om0, ki, ke, theta = pars
@@ -222,11 +217,11 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
         detuning_fix = float(pumped["detuning"])
         g0_guess = float(pumped.get("g", width0))
         lf_guess = float(pumped.get("lf_frequency", abs(detuning_fix)))
-        stage2_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")
-        ref2 = np.array([center0, 0.0, 0.0, lf_guess, 0.0])
-        scale2 = np.array([width0, width0, max(width0, g0_guess),
-                           max(width0, gamma0_fix), 1.0])
-        phys0 = np.array([center0, kappa_i0, g0_guess, lf_guess, theta0])
+        res_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")
+        res_ref = np.array([center0, 0.0, 0.0, lf_guess, 0.0])
+        res_scale = np.array([width0, width0, max(width0, g0_guess),
+                              max(width0, gamma0_fix), 1.0])
+        res0 = np.array([center0, kappa_i0, g0_guess, lf_guess, theta0])
 
         def resonance(omega_arr, pars):
             om0, ki, g, lf, theta = pars
@@ -262,30 +257,15 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
                 1j * ke_fix * chi_c * (1.0 + t),
             )])
 
-    def stage2_residual(u):
-        return resonance(omega, ref2 + scale2 * u) - corrected
+    # joint fit of resonance and background, seeded by the closed forms
+    names = res_names + ("amplitude_offset", "amplitude_slope",
+                         "phase_offset", "phase_slope")
+    ref = np.concatenate([res_ref, [0.0, 0.0, 0.0, 0.0]])
+    scale = np.concatenate([res_scale, [1.0, 1.0 / span, 1.0, 1.0 / span]])
+    phys0 = np.concatenate([res0, [bg0.amplitude_offset, bg0.amplitude_slope,
+                                   bg0.phase_offset, bg0.phase_slope]])
 
-    def stage2_jac(u):
-        return resonance_jac(ref2 + scale2 * u) * scale2
-
-    # loose: stage 3 refines the result
-    fit2 = least_squares(stage2_residual, (phys0 - ref2) / scale2, jac=stage2_jac,
-                         names=stage2_names, step_tol=1e-4, cost_tol=1e-8)
-    fit2.params = ref2 + scale2 * fit2.params
-    # one tail-free background re-estimate: the fitted resonance divided out
-    bg2 = _background_stage(omega, values / resonance(omega, fit2.params),
-                            mask, w_ref)
-
-    # stage 3: joint fit of resonance and background, seeded by stages 1-2
-    names = stage2_names + ("amplitude_offset", "amplitude_slope",
-                            "phase_offset", "phase_slope")
-    ref3 = np.concatenate([ref2, [0.0, 0.0, 0.0, 0.0]])
-    scale3 = np.concatenate([scale2, [1.0, 1.0 / span, 1.0, 1.0 / span]])
-    phys0 = np.concatenate([fit2.params,
-                            [bg2.amplitude_offset, bg2.amplitude_slope,
-                             bg2.phase_offset, bg2.phase_slope]])
-
-    n_res = len(stage2_names)
+    n_res = len(res_names)
     w = omega - w_ref
 
     def full_model(pars):
@@ -293,29 +273,28 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
         a0, a1, b0, b1 = pars[n_res:]
         return res * (a0 + a1 * w) * np.exp(1j * (b0 + b1 * w))
 
-    def stage3_jac(u):
-        pars = ref3 + scale3 * u
+    def jac(u):
+        pars = ref + scale * u
         res = resonance(omega, pars[:n_res])
         a0, a1, b0, b1 = pars[n_res:]
         rot = np.exp(1j * (b0 + b1 * w))
         bg = (a0 + a1 * w) * rot
         cols = np.column_stack([res * rot, res * w * rot,
                                 1j * res * bg, 1j * w * res * bg])
-        return np.hstack([resonance_jac(pars[:n_res]) * bg[:, None], cols]) * scale3
+        return np.hstack([resonance_jac(pars[:n_res]) * bg[:, None], cols]) * scale
 
-    fit3 = least_squares(lambda u: full_model(ref3 + scale3 * u) - values,
-                         (phys0 - ref3) / scale3, jac=stage3_jac, names=names,
-                         step_tol=1e-11)
-    fit3.params = ref3 + scale3 * fit3.params
-    fit3.uncertainties = scale3 * fit3.uncertainties
+    fit = least_squares(lambda u: full_model(ref + scale * u) - values,
+                        (phys0 - ref) / scale, jac=jac, names=names, step_tol=1e-11)
+    fit.params = ref + scale * fit.params
+    fit.uncertainties = scale * fit.uncertainties
 
-    pars = fit3.params
+    pars = fit.params
     background = BackgroundModel(
         amplitude_offset=float(pars[n_res]),
         amplitude_slope=float(pars[n_res + 1]),
         phase_offset=float(_wrap_angle(pars[n_res + 2])),
         phase_slope=float(pars[n_res + 3]),
-        circle_rotation=float(_wrap_angle(pars[stage2_names.index("theta")])),
+        circle_rotation=float(_wrap_angle(pars[res_names.index("theta")])),
         reference_frequency=w_ref,
     )
     # rates enter the model through |.|; report them positive
@@ -328,17 +307,11 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
 
     final = values / background.evaluate(omega)
     final = 1.0 - (1.0 - final) * np.exp(-1j * background.circle_rotation)
-    fit3.background = background
-    fit3.extras["corrected_trace"] = ComplexTrace(trace.frequency_hz, final)
-    fit3.extras["stage2_params"] = {
-        name: float(v) for name, v in zip(stage2_names, fit2.params)}
-    fit3.extras["diagnostics"] = {
-        stage: {"iterations": fit.iterations, "evaluations": fit.evaluations,
-                "cost": fit.cost_history[-1], "message": fit.message}
-        for stage, fit in (("stage2", fit2), ("stage3", fit3))}
+    fit.background = background
+    fit.extras["corrected_trace"] = ComplexTrace(trace.frequency_hz, final)
     if model == "bare":
-        fit3.extras["kappa"] = float(pars[1] + pars[2])
-    return fit3
+        fit.extras["kappa"] = float(pars[1] + pars[2])
+    return fit
 
 
 def fit_lorentzian(trace: SpectrumTrace) -> FitResult:

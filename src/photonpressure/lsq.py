@@ -8,8 +8,8 @@ max(1e-8*|p|, 1e-12), unless the caller passes ``jac``: a function of
 the parameter vector returning the (m, n) derivative of the residual, real
 or complex like the residual itself and stacked the same way (real rows,
 then imaginary rows).  An analytic ``jac`` saves the n extra residual
-evaluations of every iteration; ``fit_resonance`` passes one to both of its
-fits (stage 2 and the joint stage 3) for either model, while the Lorentzian,
+evaluations of every iteration; ``fit_resonance`` passes one to its joint
+resonance-and-background fit for either model, while the Lorentzian,
 backaction and flux-arch fits use the forward differences.  Convergence is
 declared when the relative parameter step drops below ``step_tol`` (default
 1e-9) or the relative cost decrease below ``cost_tol`` (default 1e-12).

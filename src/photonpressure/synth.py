@@ -8,9 +8,10 @@ dictionaries (the same schema the presets and the CLI use), read through
 a :class:`ConfigError` naming its path.
 
 This module is the one place where a parameter set becomes model inputs:
-the pump detuning, the cavity linewidth, the probed resonance, the background
-(one ``background.<field>`` key per :class:`BackgroundModel` field, which is
-also how a fit report writes it), the noise and the detection chain.
+the pump sideband and detuning, the cavity linewidth, the probed resonance,
+the low-frequency mode's thermal occupation, the background (one
+``background.<field>`` key per :class:`BackgroundModel` field, which is also
+how a fit report writes it), the noise and the detection chain.
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 identical inputs give bit-identical traces, and independent streams are safe
@@ -23,16 +24,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import BackgroundModel, lf_s11_pumped, s11_bare, s11_pumped
+from .dynamics import (BackgroundModel, cooperativity, lf_s11_pumped, s11_bare,
+                       s11_pumped)
 from .errors import ConfigError, DomainError
 from .noise import DetectionChain, psd_blue_pump
 from .constants import hbar
 from .presets import need
 from .traces import ComplexTrace, SpectrumTrace
 
-__all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd", "pump_detuning",
-           "cavity_linewidth", "probed_resonance", "background_from",
-           "background_params", "noise_from", "detection_from"]
+__all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd", "pump_sideband",
+           "pump_detuning", "cavity_linewidth", "probed_resonance", "lf_occupation",
+           "background_from", "background_params", "noise_from", "detection_from"]
 
 _NOISE_KINDS = ("none", "additive-complex-gaussian", "multiplicative-gaussian")
 
@@ -60,12 +62,18 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
 
 
-def pump_detuning(params: dict, sideband: str = "red") -> float:
-    """Pump detuning: drive.detuning, else -lf.omega0 (red) or +lf.omega0 (blue,
-    by drive.sideband or else ``sideband``) plus drive.sideband_offset."""
+def pump_sideband(params: dict, sideband: str = "red") -> str:
+    """drive.sideband, else ``sideband``: "red" or "blue"."""
     sideband = str(params.get("drive.sideband", sideband))
     if sideband not in ("red", "blue"):
         raise ConfigError(f"drive.sideband must be red or blue, not {sideband!r}")
+    return sideband
+
+
+def pump_detuning(params: dict, sideband: str = "red") -> float:
+    """Pump detuning: drive.detuning, else -lf.omega0 (red) or +lf.omega0 (blue,
+    by :func:`pump_sideband`) plus drive.sideband_offset."""
+    sideband = pump_sideband(params, sideband)
     if "drive.detuning" in params:
         return need(params, "drive.detuning")
     sign = -1.0 if sideband == "red" else 1.0
@@ -84,6 +92,18 @@ def probed_resonance(params: dict, model: str) -> str:
     if model == "lf_pumped" or (model == "bare" and "hf.omega0" not in params):
         return "lf.omega0"
     return "hf.omega0"
+
+
+def lf_occupation(params: dict, kappa: float) -> float:
+    """thermal.n_lf, else thermal.n_th heated by blue-sideband backaction,
+    (n_th + 1) / (1 - C) - 1, with C from drive.g, the cavity linewidth
+    ``kappa`` and lf.gamma0; C >= 1 is a :class:`DomainError`."""
+    if "thermal.n_lf" in params:
+        return need(params, "thermal.n_lf")
+    coop = cooperativity(need(params, "drive.g"), kappa, need(params, "lf.gamma0"))
+    if coop >= 1:
+        raise DomainError("cooperativity >= 1 on the amplifying sideband")
+    return (need(params, "thermal.n_th") + 1.0) / (1.0 - coop) - 1.0
 
 
 def background_from(params: dict, model: str) -> BackgroundModel | None:
@@ -180,21 +200,22 @@ def synth_psd(params: dict, grid_hz, detection: DetectionChain,
     The grid is absolute (Hz) around the cavity; the pump sits at
     hf.omega0 + :func:`pump_detuning` (blue by default), and the photon-units
     spectrum is scaled by gain * hbar * omega0 (narrow band, fixed photon
-    energy).
+    energy).  The low-frequency occupation comes from :func:`lf_occupation`.
     """
     grid = np.asarray(grid_hz, dtype=float)
     omega0 = need(params, "hf.omega0")
     detuning = pump_detuning(params, "blue")
     offsets = 2.0 * np.pi * grid - (omega0 + detuning)
+    kappa = need(params, "hf.kappa_i") + need(params, "hf.kappa_e")
     photons = psd_blue_pump(
         offsets,
-        kappa=need(params, "hf.kappa_i") + need(params, "hf.kappa_e"),
+        kappa=kappa,
         kappa_e=need(params, "hf.kappa_e"),
         gamma0=need(params, "lf.gamma0"),
         lf_frequency=need(params, "lf.omega0"),
         g=need(params, "drive.g"),
         detuning=detuning,
-        n_lf=need(params, "thermal.n_lf"),
+        n_lf=lf_occupation(params, kappa),
         n_cavity=need(params, "thermal.n_cavity", 0.0),
         n_add_eff=detection.effective_added_photons,
     )

@@ -348,8 +348,7 @@ def test_criterion_6_fitting_robustness():
             noisy = clean + 0.01 * (rng.standard_normal(freq.size)
                                     + 1j * rng.standard_normal(freq.size))
             fit = fit_resonance(ComplexTrace(freq, noisy))
-            diag = fit.extras["diagnostics"]
-            iterations.append(diag["stage2"]["iterations"] + diag["stage3"]["iterations"])
+            iterations.append(fit.iterations)
             for name in errors:
                 errors[name].append((fit.value(name) - par[name]) / par[name])
         for name, errs in errors.items():
@@ -359,10 +358,10 @@ def test_criterion_6_fitting_robustness():
                            f"{mean_err:.2e} <= 0.1%"))
             checks.append((f"{label} {name} seed-worst", worst <= 0.02,
                            f"{worst:.2%} <= 2%"))
-        # one loose stage-2 fit and the joint stage 3 take at most 13
-        # Gauss-Newton iterations together over these seeds; 15 rounds it up
-        checks.append((f"{label} GN iterations per fit", max(iterations) <= 15,
-                       f"max {max(iterations)} <= 15"))
+        # the one joint fit takes at most 7 Gauss-Newton iterations over
+        # these seeds; 10 leaves room for rounding on other platforms
+        checks.append((f"{label} GN iterations per fit", max(iterations) <= 10,
+                       f"max {max(iterations)} <= 10"))
 
     # background idempotence on a corrected trace
     freq = np.linspace(5.8432e9, 5.8448e9, 1201)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -57,6 +59,14 @@ class TestExitCodes:
                    "--set", "squid.gamma_l=5.0",
                    "--out", str(tmp_path / "x")) == 4
 
+    def test_amplifying_cooperativity_is_domain_error(self, tmp_path):
+        # thermal.n_lf follows drive.g; C = 4 g^2 / (kappa gamma0) >= 1 on the
+        # blue sideband has no steady state
+        out = tmp_path / "psd.dat"
+        assert run("psd", "--preset", "ppia", "--set", "drive.g=1e6",
+                   "--out", str(out)) == 4
+        assert not out.exists()
+
     def test_axis_collision(self, tmp_path):
         assert run("sweep", "--preset", "strong_coupling_D",
                    "--outer", "drive.g:0:1e5:3",
@@ -85,12 +95,13 @@ class TestExitCodes:
         ["params", "--preset", "geometry", "--units", "dbm"],
         ["respond", "--preset", "strong_coupling_D", "--units", "dbm"],
         ["backaction", "--preset", "backaction", "--seed", "9"],
+        ["backaction", "--preset", "backaction", "--sideband", "blue"],
         ["nms", "--preset", "strong_coupling_D", "--units", "dbm"],
         ["fit", "trace.dat", "--seed", "9"],
         ["sweep", "--preset", "strong_coupling_D", "--outer", "drive.g:0:1e5:3",
          "--seed", "9"],
     ], ids=["params-seed", "params-units", "respond-units", "backaction-seed",
-            "nms-units", "fit-seed", "sweep-seed"])
+            "backaction-sideband", "nms-units", "fit-seed", "sweep-seed"])
     def test_option_the_command_does_not_read_is_config_error(self, tmp_path, argv):
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2
@@ -123,18 +134,20 @@ class TestReproducibility:
 
     def test_bare_lf_synth_matches_respond(self, tmp_path):
         # synth and respond share one default grid, built from lf.omega0 when
-        # the parameters have no hf.omega0
-        for grid in ([], ["--grid", "390e6:392e6:101"]):
+        # the parameters have no hf.omega0, and both apply background.*
+        for extra in ([], ["--grid", "390e6:392e6:101"],
+                      ["--set", "background.amplitude_offset=0.5"]):
             a, b = tmp_path / "a.dat", tmp_path / "b.dat"
-            assert run("synth", "--model", "bare", "--preset", "lf", *grid,
+            assert run("synth", "--model", "bare", "--preset", "lf", *extra,
                        "--out", str(a)) == 0
-            assert run("respond", "--model", "bare", "--preset", "lf", *grid,
+            assert run("respond", "--model", "bare", "--preset", "lf", *extra,
                        "--out", str(b)) == 0
             assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["respond", "--preset", "strong_coupling_D", "--points", "101"],
-        ["backaction", "--preset", "backaction", "--sideband", "blue", "--points", "101"],
+        ["backaction", "--preset", "backaction", "--set", "drive.sideband=blue",
+         "--points", "101"],
         ["nms", "--preset", "strong_coupling_D", "--points", "101"],
         ["psd", "--preset", "ppia", "--set", "thermal.n_th=4", "--units", "dbm",
          "--points", "101"],
@@ -433,3 +446,25 @@ def test_cli_import_loads_only_numpy_beyond_stdlib():
     third_party = {m for m in loaded if m not in stdlib and m.lstrip("_") not in stdlib}
     assert "photonpressure" in third_party
     assert third_party <= {"numpy", "photonpressure"}
+
+
+def readme_commands():
+    """The ``photonpressure`` commands of the README's ``sh`` blocks, in order,
+    as argument lists without the program name."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["photonpressure"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the README's examples run in order (fit reads the trace synth wrote)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonpressure.dynamics import s11_pumped
+from photonpressure.dynamics import cooperativity, s11_pumped
 from photonpressure.errors import ConfigError, DomainError
 from photonpressure.fitting import BackgroundModel, fit_resonance
 from photonpressure.noise import DetectionChain, extract_current_psd, thermal_photons_from_peak
@@ -159,6 +159,22 @@ class TestSynthPsd:
                                           gamma_eff,
                                           presets["ppia"]["coupling.zero_point_current"])
         assert n_rec == pytest.approx(n_lf, rel=1e-6)
+
+    def test_occupation_follows_drive_g(self, presets, detection):
+        # without thermal.n_lf, n_th is heated by the cooperativity of drive.g
+        scene = dict(presets["ppia"])
+        grid = np.linspace(5.8435e9, 5.8445e9, 301)
+        kappa = scene["hf.kappa_i"] + scene["hf.kappa_e"]
+        for g in (scene["drive.g"], 1e4):
+            scene["drive.g"] = g
+            coop = cooperativity(g, kappa, scene["lf.gamma0"])
+            explicit = dict(scene)
+            explicit["thermal.n_lf"] = (scene["thermal.n_th"] + 1) / (1 - coop) - 1
+            np.testing.assert_array_equal(synth_psd(scene, grid, detection).values,
+                                          synth_psd(explicit, grid, detection).values)
+        scene["drive.g"] = 1e6
+        with pytest.raises(DomainError, match="cooperativity"):
+            synth_psd(scene, grid, detection)
 
     def test_temperature_series_monotone(self, presets, detection):
         from photonpressure.noise import bose_occupation
