@@ -309,7 +309,8 @@ def cmd_sweep(args) -> int:
     for value in outer:
         point = dict(cfg)
         apply_layer(point, {key: float(value)})
-        trace = synth_s11("pumped", point, probe)
+        trace = synth_s11("pumped", point, probe,
+                          background=background_from(point, "pumped"))
         rows.append(20.0 * np.log10(np.abs(trace.values)))
 
     header = {"outer": key, "columns": "outer_value then |S11| in dB per probe point",

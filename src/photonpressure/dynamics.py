@@ -24,10 +24,8 @@ from .errors import DomainError
 
 __all__ = [
     "BackgroundModel",
-    "OperatingPoint",
     "BackactionResult",
     "HybridModes",
-    "cavity_susceptibility",
     "effective_lf_susceptibility",
     "s11_bare",
     "s11_pumped",
@@ -37,27 +35,6 @@ __all__ = [
     "normal_modes",
     "cooperativity",
 ]
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One pump/flux configuration of the driven system."""
-
-    flux_bias: float                # PHI_0 units
-    pump_frequency: float           # rad/s
-    pump_detuning: float            # rad/s, omega_p - omega_0
-    sideband_offset: float          # rad/s, detuning from the sideband
-    intracavity_photons: float
-    single_photon_rate: float       # rad/s
-    multi_photon_rate: float        # rad/s, sqrt(n_c) * g0
-    effective_cavity_linewidth: float  # rad/s
-
-    def __post_init__(self):
-        if self.intracavity_photons < 0:
-            raise DomainError("photon number must be >= 0")
-        expected = self.intracavity_photons * self.single_photon_rate ** 2
-        if abs(self.multi_photon_rate ** 2 - expected) > 1e-12 * max(expected, 1e-300):
-            raise DomainError("multi-photon rate inconsistent with n_c * g0^2")
 
 
 @dataclass(frozen=True)
@@ -138,19 +115,6 @@ def _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning):
     a = 2j * lf_frequency * g ** 2
     p = lf_frequency ** 2 - om ** 2 - 1j * om * lf_linewidth
     return chi_c, chi_cm, a, p, 1.0 / (p - a * (chi_c - chi_cm))
-
-
-def cavity_susceptibility(offset, detuning, kappa):
-    """Cavity susceptibility 1/(kappa/2 - i(Delta + Omega)).
-
-    ``offset`` is the probe-pump offset Omega, ``detuning`` the pump-cavity
-    detuning Delta.
-    """
-    if kappa <= 0:
-        raise DomainError("cavity linewidth must be positive")
-    om = np.asarray(offset)
-    om = om.astype(complex if np.iscomplexobj(om) else float)
-    return _ret(_cavity_terms(om, kappa, detuning)[0], om.ndim == 0)
 
 
 def effective_lf_susceptibility(offset, lf_frequency, lf_linewidth, g, detuning, kappa):

@@ -3,9 +3,9 @@
 With the pump on the upper sideband the thermal and vacuum fluctuations of
 the low-frequency mode are amplified and scattered to the cavity resonance,
 where they appear as a narrow peak on top of the detection-chain noise floor.
-This module evaluates that power spectral density, converts between photon
-flux, electrical and current/flux units, and inverts measured spectra to
-mode occupations.
+This module evaluates that power spectral density and the current spectral
+density of the low-frequency mode, and inverts measured spectra to mode
+occupations.
 
 Conventions: PSDs are handled internally in photon units (occupation-like,
 the spectrum divided by hbar*omega*gain); the anti-Stokes peak appears at
@@ -28,22 +28,15 @@ from .traces import SpectrumTrace
 
 __all__ = [
     "DetectionChain",
-    "ThermalState",
     "hemt_noise_power_dbm",
-    "input_attenuation_estimate",
     "bose_occupation",
     "effective_added_photons",
     "psd_blue_pump",
     "psd_on_sideband",
     "current_psd",
-    "flux_psd",
     "extract_current_psd",
     "thermal_photons_from_peak",
     "backaction_free",
-    "photons_to_watts",
-    "watts_to_photons",
-    "current_to_flux_psd",
-    "flux_to_current_psd",
 ]
 
 
@@ -57,38 +50,19 @@ class DetectionChain:
     total_gain: float                   # power gain of the full output line
     measurement_bandwidth: float        # Hz
     input_attenuation_db: float = 0.0   # input-line attenuation, dB (negative)
-    effective_added_photons: float | None = None
 
     def __post_init__(self):
         if not 0 < self.output_efficiency <= 1:
             raise DomainError("output efficiency must lie in (0, 1]")
+        if self.hemt_added_photons < 0:
+            raise DomainError("added photons must be >= 0")
         if self.total_gain <= 0 or self.measurement_bandwidth <= 0:
             raise DomainError("gain and bandwidth must be positive")
-        derived = effective_added_photons(self.hemt_added_photons, self.output_efficiency)
-        if self.effective_added_photons is None:
-            object.__setattr__(self, "effective_added_photons", derived)
-        elif abs(self.effective_added_photons - derived) > 1e-12 * max(derived, 1.0):
-            raise DomainError("effective added photons inconsistent with n_add/eta")
 
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Occupations of the two modes and the pump-amplified population."""
-
-    bath_temperature: float     # K
-    cavity_occupation: float    # thermal photons in the cavity
-    lf_occupation: float        # n_th of the low-frequency mode
-    amplified_occupation: float  # n_LF under blue-sideband drive
-    cooperativity: float
-
-    def __post_init__(self):
-        if min(self.cavity_occupation, self.lf_occupation, self.amplified_occupation) < 0:
-            raise DomainError("occupations must be >= 0")
-        if self.cooperativity < 1:
-            lhs = self.amplified_occupation + 1.0
-            rhs = (self.lf_occupation + 1.0) / (1.0 - self.cooperativity)
-            if abs(lhs - rhs) > 1e-12 * rhs:
-                raise DomainError("amplified occupation inconsistent with (n_th+1)/(1-C)")
+    @property
+    def effective_added_photons(self) -> float:
+        """Added photons referred to the cavity output through the link."""
+        return effective_added_photons(self.hemt_added_photons, self.output_efficiency)
 
 
 def hemt_noise_power_dbm(noise_temperature: float, bandwidth: float) -> float:
@@ -99,21 +73,6 @@ def hemt_noise_power_dbm(noise_temperature: float, bandwidth: float) -> float:
     if noise_temperature <= 0 or bandwidth <= 0:
         raise DomainError("noise temperature and bandwidth must be positive")
     return 10.0 * math.log10(k_B * noise_temperature / 1e-3) + 10.0 * math.log10(bandwidth)
-
-
-def input_attenuation_estimate(snr_db: float, source_power_dbm: float,
-                               rt_attenuators_db: float, hemt_to_sample_loss_db: float,
-                               hemt_noise_dbm: float) -> float:
-    """Input-line attenuation from a signal-to-noise calibration, in dB.
-
-    The power reaching the amplifier is the noise floor plus the observed
-    SNR; adding the loss between sample and amplifier gives the on-chip
-    power, and referencing to the source power behind the room-temperature
-    attenuators yields the line attenuation (a negative number).
-    """
-    power_at_hemt = hemt_noise_dbm + snr_db
-    power_on_chip = power_at_hemt + hemt_to_sample_loss_db
-    return power_on_chip - (source_power_dbm - rt_attenuators_db)
 
 
 def bose_occupation(frequency, temperature: float):
@@ -196,15 +155,6 @@ def current_psd(offset_from_peak, gamma0, gamma0_eff, i_zpf, n_lf):
     return out if d.ndim else float(out)
 
 
-def flux_psd(offset_from_peak, gamma0, gamma0_eff, phi_zpf, n_lf):
-    """Flux fluctuation spectral density threading the loop, Wb^2/Hz.
-
-    Same Lorentzian as :func:`current_psd` scaled by phi_zpf^2 instead of
-    I_zpf^2, i.e. S_Phi = (phi_zpf/I_zpf)^2 * S_I = M^2 * S_I.
-    """
-    return current_psd(offset_from_peak, gamma0, gamma0_eff, phi_zpf, n_lf)
-
-
 def extract_current_psd(trace: SpectrumTrace, background: float, n_add_eff: float,
                         kappa: float, kappa_e: float, cooperativity: float,
                         gamma0: float, i_zpf: float) -> SpectrumTrace:
@@ -250,29 +200,3 @@ def backaction_free(n_lf: float, cooperativity: float) -> float:
     if cooperativity < 0 or n_lf < 0:
         raise DomainError("cooperativity and occupation must be >= 0")
     return (1.0 - cooperativity) * n_lf - cooperativity
-
-
-def photons_to_watts(values, frequency: float):
-    """Convert a photon-units PSD to W/Hz at carrier ``frequency`` (rad/s)."""
-    if frequency <= 0:
-        raise DomainError("frequency must be positive")
-    return np.asarray(values) * (hbar * frequency)
-
-
-def watts_to_photons(values, frequency: float):
-    """Inverse of :func:`photons_to_watts`."""
-    if frequency <= 0:
-        raise DomainError("frequency must be positive")
-    return np.asarray(values) / (hbar * frequency)
-
-
-def current_to_flux_psd(values, mutual_inductance: float):
-    """S_Phi = M^2 * S_I."""
-    return np.asarray(values) * mutual_inductance ** 2
-
-
-def flux_to_current_psd(values, mutual_inductance: float):
-    """S_I = S_Phi / M^2."""
-    if mutual_inductance == 0:
-        raise DomainError("mutual inductance must be nonzero")
-    return np.asarray(values) / mutual_inductance ** 2

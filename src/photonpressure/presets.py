@@ -199,19 +199,3 @@ def need(params: dict, key: str, default=None) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"parameter {key!r} must be a finite number, not {value!r}")
     return number
-
-
-def export_catalog(path) -> None:
-    """Write the whole catalog as one key/value JSON document.
-
-    Keys are "<preset>.<parameter>" so any entry can be referenced the same
-    way the CLI overrides do.
-    """
-    import json
-
-    flat = {f"{name}.{key}": value
-            for name, values in sorted(_PRESETS.items())
-            for key, value in sorted(values.items())}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(flat, fh, indent=2, sort_keys=True)
-        fh.write("\n")

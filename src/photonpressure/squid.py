@@ -19,21 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PHI_0, hbar
+from .constants import PHI_0
 from .errors import BeyondArchError, DomainError
 
 __all__ = [
     "SquidSpec",
-    "PowerDependence",
     "screening_parameter",
     "squid_spec_from_fit",
     "squid_frequency",
-    "josephson_inductance",
     "flux_responsivity",
     "single_photon_coupling",
-    "intracavity_photons",
-    "total_linewidth",
-    "kerr_shift",
 ]
 
 
@@ -78,23 +73,6 @@ class SquidSpec:
     def arch_half_width(self) -> float:
         """Largest |bias| (in PHI_0) for which the model is defined."""
         return 0.5 / self.arch_widening
-
-
-@dataclass(frozen=True)
-class PowerDependence:
-    """Photon-number dependence of the cavity: saturable two-level-system
-    losses and a linear frequency pull per photon."""
-
-    kerr_per_photon: float      # rad/s
-    tls_rate: float             # rad/s, unsaturated TLS loss
-    critical_photons: float     # saturation scale
-    residual_internal: float    # rad/s, power-independent internal loss
-
-    def __post_init__(self):
-        if self.tls_rate < 0 or self.residual_internal < 0:
-            raise DomainError("loss rates must be >= 0")
-        if self.critical_photons <= 0:
-            raise DomainError("critical photon number must be positive")
 
 
 def squid_spec_from_fit(sweet_spot_frequency: float, dilution: float,
@@ -145,13 +123,6 @@ def squid_frequency(flux_bias, spec: SquidSpec):
     return out if out.ndim else float(out)
 
 
-def josephson_inductance(flux_bias, spec: SquidSpec):
-    """Flux-dependent SQUID inductance L_J0 / (2 cos(pi*gamma_l*phi)), H."""
-    c = _arch_cosine(flux_bias, spec)
-    out = spec.junction_inductance / (2.0 * c)
-    return out if out.ndim else float(out)
-
-
 def flux_responsivity(flux_bias, spec: SquidSpec):
     """Signed derivative of the cavity frequency with bias, rad/s per PHI_0.
 
@@ -179,42 +150,3 @@ def single_photon_coupling(flux_bias, spec: SquidSpec, zero_point_flux_phi0: flo
         raise DomainError("zero-point flux must be >= 0")
     out = np.abs(flux_responsivity(flux_bias, spec)) * zero_point_flux_phi0
     return out if np.ndim(out) else float(out)
-
-
-def intracavity_photons(power_in: float, pump_frequency: float, kappa: float,
-                        kappa_e: float, detuning) -> float:
-    """Steady-state photon number for a drive of on-chip power ``power_in``.
-
-    n = (4 P / hbar omega_p) * kappa_e / (kappa^2 + 4 Delta^2), with the
-    detuning Delta between pump and cavity.
-    """
-    if kappa <= 0 or kappa_e <= 0:
-        raise DomainError("cavity rates must be positive")
-    if pump_frequency <= 0:
-        raise DomainError("pump frequency must be positive")
-    if power_in < 0:
-        raise DomainError("power must be >= 0")
-    d = np.asarray(detuning, dtype=float)
-    out = 4.0 * power_in / (hbar * pump_frequency) * kappa_e / (kappa ** 2 + 4.0 * d ** 2)
-    return out if out.ndim else float(out)
-
-
-def total_linewidth(n_photons, dep: PowerDependence, kappa_e: float):
-    """Cavity linewidth vs photon number with saturable TLS losses.
-
-    kappa(n) = kappa_e + kappa_1 + kappa_TLS / sqrt(1 + n/n_crit).
-    """
-    if kappa_e < 0:
-        raise DomainError("external rate must be >= 0")
-    n = np.asarray(n_photons, dtype=float)
-    if np.any(n < 0):
-        raise DomainError("photon number must be >= 0")
-    out = kappa_e + dep.residual_internal \
-        + dep.tls_rate / np.sqrt(1.0 + n / dep.critical_photons)
-    return out if out.ndim else float(out)
-
-
-def kerr_shift(n_photons, kerr_per_photon: float):
-    """Linear frequency pull -chi * n toward lower frequency, rad/s."""
-    out = -np.asarray(n_photons, dtype=float) * kerr_per_photon
-    return out if out.ndim else float(out)

@@ -144,6 +144,20 @@ class TestReproducibility:
                        "--out", str(b)) == 0
             assert a.read_bytes() == b.read_bytes()
 
+    def test_sweep_applies_background(self, tmp_path):
+        # like respond and synth, sweep multiplies every trace by background.*
+        argv = ["sweep", "--preset", "strong_coupling_D",
+                "--outer", "drive.g:0:1e5:3", "--points", "41"]
+        plain, scaled = tmp_path / "plain.dat", tmp_path / "scaled.dat"
+        assert run(*argv, "--out", str(plain)) == 0
+        assert run(*argv, "--set", "background.amplitude_offset=0.5",
+                   "--out", str(scaled)) == 0
+        _, a = read_points(plain, n_columns=42)
+        _, b = read_points(scaled, n_columns=42)
+        np.testing.assert_array_equal(b[:, 0], a[:, 0])
+        np.testing.assert_allclose(b[:, 1:] - a[:, 1:], 20 * math.log10(0.5),
+                                   rtol=0, atol=1e-6)
+
     @pytest.mark.parametrize("argv", [
         ["respond", "--preset", "strong_coupling_D", "--points", "101"],
         ["backaction", "--preset", "backaction", "--set", "drive.sideband=blue",

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from photonpressure.dynamics import (backaction_exact, backaction_sideband,
-                                     cavity_susceptibility, cooperativity,
-                                     effective_lf_susceptibility,
+                                     cooperativity, effective_lf_susceptibility,
                                      lf_s11_pumped, normal_modes, s11_bare,
                                      s11_pumped)
 from photonpressure.errors import DomainError
@@ -18,23 +17,6 @@ TWO_PI = 2 * math.pi
 OM0 = TWO_PI * 391e6
 GAMMA0 = TWO_PI * 22e3
 KAPPA = TWO_PI * 250e3
-
-
-class TestCavitySusceptibility:
-    def test_peak_value(self):
-        chi = cavity_susceptibility(OM0, -OM0, KAPPA)
-        assert chi == pytest.approx(2.0 / KAPPA, rel=1e-14)
-        assert chi.imag == 0.0
-
-    def test_far_detuning_vanishes(self):
-        chi = cavity_susceptibility(1e15, -OM0, KAPPA)
-        assert abs(chi) < 1e-14
-
-    @given(om=st.floats(-1e7, 1e7), delta=st.floats(-1e7, 1e7))
-    def test_modulus_identity(self, om, delta):
-        chi = cavity_susceptibility(om, delta, KAPPA)
-        expected = 1.0 / ((KAPPA / 2) ** 2 + (delta + om) ** 2)
-        assert abs(chi) ** 2 == pytest.approx(expected, rel=1e-12)
 
 
 class TestEffectiveSusceptibility:

@@ -1,12 +1,10 @@
-import json
 import math
 
 import pytest
 
-from photonpressure.dynamics import (OperatingPoint, backaction_sideband,
-                                     cooperativity)
-from photonpressure.errors import ConfigError, DomainError
-from photonpressure.presets import experiment_presets, export_catalog, need, preset
+from photonpressure.dynamics import backaction_sideband, cooperativity
+from photonpressure.errors import ConfigError
+from photonpressure.presets import experiment_presets, need, preset
 
 TWO_PI = 2 * math.pi
 
@@ -32,13 +30,6 @@ class TestCatalog:
         for name, values in experiment_presets().items():
             for key in values:
                 assert math.isfinite(need(values, key)), (name, key)
-
-    def test_export_is_flat_json(self, tmp_path):
-        path = tmp_path / "catalog.json"
-        export_catalog(path)
-        doc = json.loads(path.read_text())
-        assert doc["backaction.drive.kappa_eff"] == pytest.approx(TWO_PI * 110e3)
-        assert all(isinstance(v, (int, float)) for v in doc.values())
 
 
 class TestSceneConsistency:
@@ -68,30 +59,6 @@ class TestSceneConsistency:
     def test_coupling_scenes_grow_with_bias(self):
         gs = [preset(f"strong_coupling_{x}")["drive.g"] for x in "ABCD"]
         assert gs == sorted(gs)
-
-
-class TestOperatingPoint:
-    def test_consistent_rates(self):
-        OperatingPoint(flux_bias=0.5, pump_frequency=TWO_PI * 5.45e9,
-                       pump_detuning=-TWO_PI * 391e6, sideband_offset=0.0,
-                       intracavity_photons=70.0,
-                       single_photon_rate=TWO_PI * 29.88e3,
-                       multi_photon_rate=math.sqrt(70.0) * TWO_PI * 29.88e3,
-                       effective_cavity_linewidth=TWO_PI * 214.4e3)
-
-    def test_inconsistent_rates_rejected(self):
-        with pytest.raises(DomainError):
-            OperatingPoint(flux_bias=0.5, pump_frequency=TWO_PI * 5.45e9,
-                           pump_detuning=-TWO_PI * 391e6, sideband_offset=0.0,
-                           intracavity_photons=70.0,
-                           single_photon_rate=TWO_PI * 29.88e3,
-                           multi_photon_rate=TWO_PI * 100e3,
-                           effective_cavity_linewidth=TWO_PI * 214.4e3)
-
-    def test_negative_photons_rejected(self):
-        with pytest.raises(DomainError):
-            OperatingPoint(0.5, TWO_PI * 5.45e9, -TWO_PI * 391e6, 0.0,
-                           -1.0, 0.0, 0.0, TWO_PI * 214.4e3)
 
 
 class TestNeed:

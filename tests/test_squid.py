@@ -6,11 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from photonpressure.errors import BeyondArchError, DomainError
-from photonpressure.squid import (PowerDependence,
-                                  flux_responsivity, intracavity_photons,
-                                  josephson_inductance, kerr_shift,
-                                  single_photon_coupling, squid_frequency,
-                                  squid_spec_from_fit, total_linewidth)
+from photonpressure.squid import (flux_responsivity, single_photon_coupling,
+                                  squid_frequency, squid_spec_from_fit)
 
 TWO_PI = 2 * math.pi
 
@@ -59,7 +56,7 @@ class TestSquidFrequency:
         with pytest.raises(BeyondArchError):
             squid_frequency(edge + 1e-6, device)
         with pytest.raises(BeyondArchError):
-            josephson_inductance(np.array([0.0, edge + 0.01]), device)
+            squid_frequency(np.array([0.0, edge + 0.01]), device)
 
     @given(phi=st.floats(min_value=-0.8, max_value=0.8))
     def test_even_in_flux(self, device, phi):
@@ -72,18 +69,6 @@ class TestSquidFrequency:
         period = 2.0 / device.arch_widening
         assert squid_frequency(phi + period, device) == pytest.approx(
             squid_frequency(phi, device), rel=1e-12)
-
-
-class TestJosephsonInductance:
-    def test_zero_flux_halves_single_junction(self, device):
-        spec27 = squid_spec_from_fit(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
-        assert josephson_inductance(0.0, spec27) == pytest.approx(
-            spec27.junction_inductance / 2, rel=1e-14)
-
-    def test_monotone_on_half_arch(self, device):
-        phi = np.linspace(0.0, 0.8, 200)
-        lj = josephson_inductance(phi, device)
-        assert np.all(np.diff(lj) > 0)
 
 
 class TestResponsivity:
@@ -140,49 +125,3 @@ class TestSinglePhotonCoupling:
         # for a continuously differentiable curve
         ratio = np.abs(np.diff(g_coarse)).max() / np.abs(np.diff(g_fine)).max()
         assert ratio == pytest.approx(2.0, rel=0.1)
-
-
-class TestIntracavityPhotons:
-    def test_no_drive(self):
-        assert intracavity_photons(0.0, TWO_PI * 5.45e9, TWO_PI * 250e3,
-                                   TWO_PI * 28e3, -TWO_PI * 391e6) == 0.0
-
-    def test_on_resonance_formula(self):
-        from photonpressure.constants import hbar
-        p, omega = 1e-12, TWO_PI * 5.844e9
-        kappa, kappa_e = TWO_PI * 250e3, TWO_PI * 28e3
-        expected = 4 * p * kappa_e / (hbar * omega * kappa**2)
-        assert intracavity_photons(p, omega, kappa, kappa_e, 0.0) == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_sideband_pump_photon_number(self):
-        # a 10.4 dBm generator behind the -61 dB input line puts the
-        # red-sideband drive at about 70 photons
-        p_chip = 10 ** ((10.4 - 61.0 - 30.0) / 10.0)
-        n = intracavity_photons(p_chip, TWO_PI * (5.844e9 - 391e6),
-                                TWO_PI * 250e3, TWO_PI * 28e3, -TWO_PI * 391e6)
-        assert n == pytest.approx(70.0, rel=0.01)
-
-
-class TestPowerDependence:
-    DEP = PowerDependence(kerr_per_photon=TWO_PI * 4e3, tls_rate=TWO_PI * 100e3,
-                          critical_photons=50.0, residual_internal=TWO_PI * 60e3)
-
-    def test_unsaturated_limit(self):
-        k = total_linewidth(0.0, self.DEP, TWO_PI * 28e3)
-        assert k == pytest.approx(TWO_PI * (28e3 + 60e3 + 100e3), rel=1e-12)
-
-    def test_saturated_limit(self):
-        k = total_linewidth(1e12, self.DEP, TWO_PI * 28e3)
-        assert k == pytest.approx(TWO_PI * (28e3 + 60e3), rel=1e-4)
-
-    def test_monotone_decreasing(self):
-        n = np.linspace(0, 1e4, 500)
-        k = total_linewidth(n, self.DEP, TWO_PI * 28e3)
-        assert np.all(np.diff(k) < 0)
-
-    def test_kerr_shift(self):
-        assert kerr_shift(0.0, TWO_PI * 4e3) == 0.0
-        one = kerr_shift(10.0, TWO_PI * 4e3)
-        assert one < 0  # toward lower frequency
-        assert kerr_shift(20.0, TWO_PI * 4e3) == pytest.approx(2 * one, rel=1e-14)
