@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import PHI_0, epsilon_0, hbar, mu_0
+from .constants import epsilon_0, hbar, mu_0
 from .errors import DomainError
 
 __all__ = [
     "LumpedResonatorSpec",
     "IdcSpec",
     "ResonatorParams",
-    "CouplingGeometry",
     "elliptic_k",
     "parallel_plate_capacitance",
     "idc_capacitance",
@@ -27,7 +26,6 @@ __all__ = [
     "external_linewidth",
     "zero_point_current",
     "mutual_inductance",
-    "coupling_geometry",
     "derive_resonator",
 ]
 
@@ -36,8 +34,8 @@ __all__ = [
 class LumpedResonatorSpec:
     """Geometry and material description of a parallel-plate LC resonator.
 
-    ``total_inductance`` may be supplied directly when the geometry alone
-    cannot determine it (kinetic inductance dominated wires).
+    The total inductance is not part of the geometry: :func:`derive_resonator`
+    infers it from the measured resonance frequency.
     """
 
     plate_area: float                 # m^2
@@ -45,7 +43,6 @@ class LumpedResonatorSpec:
     relative_permittivity: float      # dimensionless, >= 1
     coupling_capacitance: float       # F
     feedline_impedance: float = 50.0  # ohm
-    total_inductance: float | None = None          # H
 
     def __post_init__(self):
         if self.plate_area <= 0:
@@ -62,14 +59,13 @@ class LumpedResonatorSpec:
 
 @dataclass(frozen=True)
 class IdcSpec:
-    """Interdigitated capacitor: N fingers of length l, width a, gap b."""
+    """One interdigitated capacitor: N fingers of length l, width a, gap b."""
 
     finger_count: int
     finger_length: float              # m
     finger_width: float               # m
     gap_width: float                  # m
     effective_permittivity: float     # (eps_substrate + 1)/2 for a thick substrate
-    parallel_count: int = 1
 
     def __post_init__(self):
         if self.finger_count < 3:
@@ -78,8 +74,6 @@ class IdcSpec:
             raise DomainError("finger dimensions must be positive")
         if self.effective_permittivity < 1:
             raise DomainError("effective permittivity must be >= 1")
-        if self.parallel_count < 1:
-            raise DomainError("parallel count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,57 +81,9 @@ class ResonatorParams:
     """Electrical parameters of one LC mode coupled to a feedline."""
 
     resonance_frequency: float  # rad/s
-    internal_rate: float        # rad/s
     external_rate: float        # rad/s
     total_inductance: float     # H
-    total_capacitance: float    # F
-    coupling_capacitance: float  # F
-
-    def __post_init__(self):
-        if self.internal_rate < 0 or self.external_rate < 0:
-            raise DomainError("decay rates must be >= 0")
-        if self.total_inductance > 0 and self.total_capacitance > 0:
-            derived = lc_frequency(
-                self.total_inductance,
-                self.total_capacitance + self.coupling_capacitance,
-            )
-            if abs(derived - self.resonance_frequency) > 1e-12 * derived:
-                raise DomainError(
-                    "resonance frequency inconsistent with L and C "
-                    f"({self.resonance_frequency} vs {derived} rad/s)"
-                )
-
-    @property
-    def total_rate(self) -> float:
-        return self.internal_rate + self.external_rate
-
-
-@dataclass(frozen=True)
-class CouplingGeometry:
-    """Inductive coupling between the RF inductor wire and the SQUID loop.
-
-    The wire runs along three sides of a square loop of side ``loop_side``,
-    at distance ``near_distance`` from the nearest loop segment and
-    ``far_distance`` from the opposite one (wire centers).
-    """
-
-    loop_side: float            # m
-    near_distance: float        # m
-    far_distance: float         # m
-    mutual_inductance: float    # H
-    zero_point_current: float   # A
-    zero_point_flux: float      # Wb
-
-    def __post_init__(self):
-        if not self.far_distance > self.near_distance > 0:
-            raise DomainError("need far_distance > near_distance > 0")
-        if abs(self.zero_point_flux - self.mutual_inductance * self.zero_point_current) \
-                > 1e-12 * abs(self.zero_point_flux):
-            raise DomainError("zero-point flux inconsistent with M * I_zpf")
-
-    @property
-    def zero_point_flux_phi0(self) -> float:
-        return self.zero_point_flux / PHI_0
+    total_capacitance: float    # F, without the coupling capacitor
 
 
 def elliptic_k(k: float) -> float:
@@ -168,7 +114,7 @@ def idc_capacitance(spec: IdcSpec) -> float:
 
         k1 = sin(pi/2 * a/(a+b)),   k2 = 2 sqrt(a(a+b)) / (2a+b).
 
-    The result is multiplied by ``parallel_count``.
+    Capacitors in parallel add; the caller multiplies by their number.
     """
     a, b, length = spec.finger_width, spec.gap_width, spec.finger_length
     k1 = math.sin(0.5 * math.pi * a / (a + b))
@@ -181,8 +127,7 @@ def idc_capacitance(spec: IdcSpec) -> float:
 
     c1 = unit_cap(k1)
     c2 = unit_cap(k2)
-    single = (spec.finger_count - 3) * c1 / 2.0 + 2.0 * c1 * c2 / (c1 + c2)
-    return spec.parallel_count * single
+    return (spec.finger_count - 3) * c1 / 2.0 + 2.0 * c1 * c2 / (c1 + c2)
 
 
 def lc_frequency(inductance: float, capacitance: float) -> float:
@@ -230,39 +175,20 @@ def mutual_inductance(loop_side: float, near_distance: float, far_distance: floa
     return 3.0 * mu_0 / (2.0 * math.pi) * loop_side * math.log(far_distance / near_distance)
 
 
-def coupling_geometry(loop_side: float, near_distance: float, far_distance: float,
-                      i_zpf: float) -> CouplingGeometry:
-    """Assemble a :class:`CouplingGeometry` for a given zero-point current."""
-    m = mutual_inductance(loop_side, near_distance, far_distance)
-    return CouplingGeometry(
-        loop_side=loop_side,
-        near_distance=near_distance,
-        far_distance=far_distance,
-        mutual_inductance=m,
-        zero_point_current=i_zpf,
-        zero_point_flux=m * i_zpf,
-    )
-
-
 def derive_resonator(spec: LumpedResonatorSpec, measured_frequency: float) -> ResonatorParams:
     """Full derivation chain for a parallel-plate resonator.
 
     Computes the plate capacitance from geometry, infers the total inductance
     from the measured resonance frequency, and evaluates the external
-    linewidth from the coupling capacitor.  The internal rate is not
-    derivable from geometry and is reported as 0.
+    linewidth from the coupling capacitor.
     """
     c = parallel_plate_capacitance(spec)
-    inductance = spec.total_inductance
-    if inductance is None:
-        inductance = infer_inductance(measured_frequency, c + spec.coupling_capacitance)
+    inductance = infer_inductance(measured_frequency, c + spec.coupling_capacitance)
     rate = external_linewidth(spec.feedline_impedance, spec.coupling_capacitance,
                               inductance, c)
     return ResonatorParams(
         resonance_frequency=lc_frequency(inductance, c + spec.coupling_capacitance),
-        internal_rate=0.0,
         external_rate=rate,
         total_inductance=inductance,
         total_capacitance=c,
-        coupling_capacitance=spec.coupling_capacitance,
     )

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import circuit, dynamics, squid
-from .constants import hbar
+from .constants import PHI_0, hbar
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PhotonPressureError, TraceFormatError)
 from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
@@ -106,6 +106,14 @@ def parse_grid(spec: str, default=None):
     return np.linspace(start, stop, points)
 
 
+def _count(cfg: dict, key: str, default=None) -> int:
+    """``need``, and the value must be a whole number >= 1."""
+    value = need(cfg, key, default)
+    if value < 1 or value != int(value):
+        raise ConfigError(f"parameter {key!r} must be a whole number >= 1, not {value:g}")
+    return int(value)
+
+
 def _probe_grid(args, cfg: dict, model: str = "pumped"):
     """``--grid``, else ``--points`` around the probed resonance, built only then:
     +-200 kHz around lf.omega0, +-2 MHz around hf.omega0."""
@@ -139,14 +147,14 @@ def cmd_params(args) -> int:
 
     if "idc.finger_count" in cfg:
         idc = circuit.IdcSpec(
-            finger_count=int(need(cfg, "idc.finger_count")),
+            finger_count=_count(cfg, "idc.finger_count"),
             finger_length=need(cfg, "idc.finger_length"),
             finger_width=need(cfg, "idc.finger_width"),
             gap_width=need(cfg, "idc.gap_width"),
             effective_permittivity=need(cfg, "idc.effective_permittivity"),
         )
         c_single = circuit.idc_capacitance(idc)
-        c_total = c_single * int(need(cfg, "idc.parallel_count", 1))
+        c_total = c_single * _count(cfg, "idc.parallel_count", 1)
         c_coupling = need(cfg, "idc.coupling_capacitance", 0.0)
         omega_hf = need(cfg, "idc.hf_frequency")
         l_hf = circuit.infer_inductance(omega_hf, c_total + c_coupling)
@@ -158,20 +166,18 @@ def cmd_params(args) -> int:
 
     if "loop.side" in cfg and "lf.zero_point_current" in report:
         i_zpf = report["lf.zero_point_current"]
-        geom = circuit.coupling_geometry(
-            need(cfg, "loop.side"), need(cfg, "loop.near_distance"),
-            need(cfg, "loop.far_distance"), i_zpf)
-        report["coupling.mutual_inductance"] = geom.mutual_inductance
-        report["coupling.zero_point_flux"] = geom.zero_point_flux
-        report["coupling.zero_point_flux_phi0"] = geom.zero_point_flux_phi0
+        m = circuit.mutual_inductance(need(cfg, "loop.side"), need(cfg, "loop.near_distance"),
+                                      need(cfg, "loop.far_distance"))
+        report["coupling.mutual_inductance"] = m
+        report["coupling.zero_point_flux"] = m * i_zpf
+        report["coupling.zero_point_flux_phi0"] = m * i_zpf / PHI_0
 
     if "squid.dilution" in cfg:
-        spec = squid.squid_spec_from_fit(
+        spec = squid.SquidSpec(
             sweet_spot_frequency=need(cfg, "squid.omega0"),
             dilution=need(cfg, "squid.dilution"),
             arch_widening=need(cfg, "squid.gamma_l"),
             total_inductance=need(cfg, "squid.total_inductance"),
-            loop_inductance=need(cfg, "loop.inductance", 0.0),
         )
         report["squid.junction_inductance"] = spec.junction_inductance
         report["squid.critical_current"] = spec.critical_current

@@ -81,14 +81,6 @@ class BackgroundModel:
         return (self.amplitude_offset + self.amplitude_slope * w) \
             * np.exp(1j * (self.phase_offset + self.phase_slope * w))
 
-    def is_identity(self, span: float, tol: float = 1e-6) -> bool:
-        """True when the background is unity within ``tol`` over ``span``."""
-        return (abs(self.amplitude_offset - 1.0) < tol
-                and abs(self.amplitude_slope) * span < tol
-                and abs(self.phase_offset) < tol
-                and abs(self.phase_slope) * span < tol
-                and abs(self.circle_rotation) < tol)
-
 
 def _ret(values, scalar_input, to_complex=True):
     # the reflections evaluate a scalar as a 1-element array, so that it takes

@@ -3,8 +3,8 @@
 The central routine is :func:`fit_resonance`, a background-corrected fit of
 a complex reflection trace on top of a slowly varying instrumental background:
 
-1. mask the resonance region (default: within 2 initial-guess linewidths of
-   the initial-guess center) and estimate the background
+1. mask the resonance region (within 2 initial-guess linewidths of the
+   initial-guess center) and estimate the background
    (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline in closed
    form; an algebraic circle fit of the background-divided data seeds the
    resonance-circle rotation theta and the coupling;
@@ -24,12 +24,12 @@ import math
 
 import numpy as np
 
-from .constants import PHI_0
 from .dynamics import (BackgroundModel, _pumped_terms, backaction_sideband,
                        s11_bare, s11_pumped)
 from .errors import (BackgroundEstimationError, DomainError,
                      NonIdentifiableError)
 from .lsq import FitResult, least_squares
+from .squid import SquidSpec
 from .traces import ComplexTrace, SpectrumTrace
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _MIN_POINTS = 16
+_MASK_HALFWIDTHS = 2.0         # resonance mask, in initial-guess linewidths
+_MIN_BASELINE_FRACTION = 0.25  # off-resonant share of the points the background needs
 
 
 def _require_points(n, minimum=_MIN_POINTS):
@@ -145,8 +147,8 @@ def _sign(x):
     return -1.0 if x < 0 else 1.0
 
 
-def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | None = None,
-                  mask_halfwidths: float = 2.0, min_baseline_fraction: float = 0.25) -> FitResult:
+def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
+                  pumped: dict | None = None) -> FitResult:
     """Background-corrected fit of a complex reflection trace.
 
     ``model`` selects the resonance term: "bare" fits (omega0, kappa_i,
@@ -172,11 +174,11 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *, pumped: dict | No
         raise DomainError("trace must span at least 5 estimated linewidths")
 
     # background from the off-resonant baseline
-    mask = np.abs(omega - center0) <= mask_halfwidths * width0
-    if (~mask).sum() < min_baseline_fraction * omega.size:
+    mask = np.abs(omega - center0) <= _MASK_HALFWIDTHS * width0
+    if (~mask).sum() < _MIN_BASELINE_FRACTION * omega.size:
         raise BackgroundEstimationError(
             f"only {(~mask).sum()} of {omega.size} points are off-resonant; "
-            f"need {min_baseline_fraction:.0%}")
+            f"need {_MIN_BASELINE_FRACTION:.0%}")
     bg0 = _baseline_background(omega, values, mask, w_ref)
 
     # resonance seed from the background-divided data.  The engine sees
@@ -402,8 +404,8 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
 
     ``flux_bias`` in PHI_0 units, ``frequencies`` in rad/s, at least 5 points
     inside a single arch.  When ``total_inductance`` is given the junction
-    inductance 2*(1-dilution)*L and its critical current are reported in the
-    extras.  Points spanning more than one arch raise
+    inductance and critical current of the fitted :class:`SquidSpec` are
+    reported in the extras.  Points spanning more than one arch raise
     :class:`NonIdentifiableError`; reduce them to one period first.
     """
     phi = np.asarray(flux_bias, dtype=float)
@@ -460,7 +462,7 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
         raise NonIdentifiableError(
             f"fitted dilution {dil} leaves the widening unconstrained")
     if total_inductance is not None:
-        lj0 = 2.0 * (1.0 - dil) * total_inductance
-        fit.extras["junction_inductance"] = lj0
-        fit.extras["critical_current"] = PHI_0 / (2.0 * math.pi * lj0)
+        spec = SquidSpec(om0, dil, gl, total_inductance)
+        fit.extras["junction_inductance"] = spec.junction_inductance
+        fit.extras["critical_current"] = spec.critical_current
     return fit

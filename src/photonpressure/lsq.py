@@ -32,10 +32,10 @@ _MAX_DAMPING = 1e14
 class FitResult:
     """Outcome of a least-squares fit.
 
-    ``params`` follows the order of the initial guess; ``names`` (when set by
-    the model-level wrappers) allows lookup through :meth:`value` and
-    :meth:`uncertainty`.  ``extras`` carries model-specific products such as
-    derived parameters or a background-corrected trace.
+    ``params`` follows the order of the initial guess; ``names`` (set by the
+    model-level wrappers) allows lookup through :meth:`value` and keys
+    :meth:`as_dict`, uncertainties as ``<name>_err``.  ``extras`` carries
+    model-specific products such as derived parameters or a corrected trace.
     """
 
     params: np.ndarray
@@ -50,17 +50,11 @@ class FitResult:
     background: object = None
     extras: dict = field(default_factory=dict)
 
-    def _index(self, name: str) -> int:
+    def value(self, name: str) -> float:
         try:
-            return self.names.index(name)
+            return float(self.params[self.names.index(name)])
         except ValueError:
             raise KeyError(f"no parameter named {name!r}; have {self.names}") from None
-
-    def value(self, name: str) -> float:
-        return float(self.params[self._index(name)])
-
-    def uncertainty(self, name: str) -> float:
-        return float(self.uncertainties[self._index(name)])
 
     def as_dict(self) -> dict:
         out = {n: float(v) for n, v in zip(self.names, self.params)}

@@ -25,7 +25,6 @@ from .errors import BeyondArchError, DomainError
 __all__ = [
     "SquidSpec",
     "screening_parameter",
-    "squid_spec_from_fit",
     "squid_frequency",
     "flux_responsivity",
     "single_photon_coupling",
@@ -39,67 +38,41 @@ def screening_parameter(loop_inductance: float, critical_current: float) -> floa
 
 @dataclass(frozen=True)
 class SquidSpec:
-    """Flux-tunable cavity description.
+    """Flux-tunable cavity description, as given by a flux-arch fit.
 
     ``dilution`` is the fraction of the total inductance that does not tune
     with flux; ``arch_widening`` is the phenomenological stretch of the flux
-    axis within one arch.
+    axis within one arch.  Junction inductance and critical current follow:
+    L_J0 = 2 (1 - Lambda) L_total and I_c = PHI_0 / (2 pi L_J0).
     """
 
     sweet_spot_frequency: float   # rad/s, omega0 at zero bias
     dilution: float               # dimensionless, 0 < Lambda < 1
     arch_widening: float          # dimensionless gamma_l > 0
-    junction_inductance: float    # H, single junction L_J0
-    critical_current: float       # A, single junction
-    loop_inductance: float        # H
-    screening: float              # dimensionless beta_L
     total_inductance: float       # H
 
     def __post_init__(self):
+        if self.total_inductance <= 0:
+            raise DomainError("total inductance must be positive")
         if not 0 < self.dilution < 1:
             raise DomainError("dilution must lie in (0, 1)")
         if self.arch_widening <= 0:
             raise DomainError("arch widening must be positive")
         if self.sweet_spot_frequency <= 0:
             raise DomainError("sweet-spot frequency must be positive")
-        lj0 = PHI_0 / (2.0 * math.pi * self.critical_current)
-        if abs(lj0 - self.junction_inductance) > 1e-12 * lj0:
-            raise DomainError("junction inductance inconsistent with critical current")
-        beta = screening_parameter(self.loop_inductance, self.critical_current)
-        if abs(beta - self.screening) > 1e-12 * abs(beta):
-            raise DomainError("screening parameter inconsistent with loop inductance")
+
+    @property
+    def junction_inductance(self) -> float:  # H, single junction
+        return 2.0 * (1.0 - self.dilution) * self.total_inductance
+
+    @property
+    def critical_current(self) -> float:  # A, single junction
+        return PHI_0 / (2.0 * math.pi * self.junction_inductance)
 
     @property
     def arch_half_width(self) -> float:
         """Largest |bias| (in PHI_0) for which the model is defined."""
         return 0.5 / self.arch_widening
-
-
-def squid_spec_from_fit(sweet_spot_frequency: float, dilution: float,
-                        arch_widening: float, total_inductance: float,
-                        loop_inductance: float = 0.0) -> SquidSpec:
-    """Build a consistent :class:`SquidSpec` from arch-fit parameters.
-
-    The junction inductance follows from the dilution,
-    L_J0 = 2 (1 - Lambda) L_total, and the critical current from
-    I_c = PHI_0 / (2 pi L_J0).
-    """
-    if total_inductance <= 0:
-        raise DomainError("total inductance must be positive")
-    if not 0 < dilution < 1:
-        raise DomainError("dilution must lie in (0, 1)")
-    lj0 = 2.0 * (1.0 - dilution) * total_inductance
-    ic = PHI_0 / (2.0 * math.pi * lj0)
-    return SquidSpec(
-        sweet_spot_frequency=sweet_spot_frequency,
-        dilution=dilution,
-        arch_widening=arch_widening,
-        junction_inductance=lj0,
-        critical_current=ic,
-        loop_inductance=loop_inductance,
-        screening=screening_parameter(loop_inductance, ic),
-        total_inductance=total_inductance,
-    )
 
 
 def _arch_cosine(flux_bias, spec: SquidSpec):

@@ -46,7 +46,6 @@ class NoiseSpec:
     kind: str = "none"
     sigma: float = 0.0
     seed: int = 0
-    stream: int = 0
 
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
@@ -145,7 +144,7 @@ def detection_from(params: dict) -> DetectionChain:
 def _apply_noise(values, noise: NoiseSpec | None):
     if noise is None or noise.kind == "none" or noise.sigma == 0.0:
         return values
-    rng = make_rng(noise.seed, noise.stream)
+    rng = make_rng(noise.seed)
     if noise.kind == "additive-complex-gaussian":
         return values + noise.sigma * (rng.standard_normal(values.size)
                                        + 1j * rng.standard_normal(values.size))

@@ -13,10 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from photonpressure.circuit import (IdcSpec, LumpedResonatorSpec,
-                                    coupling_geometry, derive_resonator,
-                                    idc_capacitance, infer_inductance,
-                                    external_linewidth, zero_point_current)
 from photonpressure.cli import main
 from photonpressure.constants import hbar
 from photonpressure.dynamics import (backaction_exact, backaction_sideband,
@@ -29,8 +25,8 @@ from photonpressure.noise import (DetectionChain, backaction_free,
                                   extract_current_psd, hemt_noise_power_dbm,
                                   thermal_photons_from_peak)
 from photonpressure.presets import preset
-from photonpressure.squid import (flux_responsivity, single_photon_coupling,
-                                  squid_frequency, squid_spec_from_fit)
+from photonpressure.squid import (SquidSpec, flux_responsivity,
+                                  single_photon_coupling, squid_frequency)
 from photonpressure.synth import NoiseSpec, synth_psd
 
 TWO_PI = 2 * math.pi
@@ -52,35 +48,21 @@ def rel(value, target):
 
 def test_criterion_1_circuit_derivations(tmp_path):
     start = time.time()
-    lf_spec = LumpedResonatorSpec(plate_area=7.68e-7, dielectric_thickness=130e-9,
-                                  relative_permittivity=11.8,
-                                  coupling_capacitance=434e-15,
-                                  feedline_impedance=50.0)
-    lf = derive_resonator(lf_spec, TWO_PI * 391e6)
-    i_zpf = zero_point_current(lf.total_inductance, lf.resonance_frequency)
-
-    idc = IdcSpec(finger_count=90, finger_length=100e-6, finger_width=1e-6,
-                  gap_width=1e-6, effective_permittivity=(11.8 + 1) / 2)
-    c_idc = idc_capacitance(idc)
-    c_hf = 2 * c_idc
-    l_hf = infer_inductance(TWO_PI * 5.844e9, c_hf + 2e-15)
-    kappa_e = external_linewidth(50.0, 2e-15, l_hf, c_hf)
-
-    geom = coupling_geometry(10e-6, 1e-6, 11e-6, i_zpf)
-    # beta_L = 2 * L_loop * I_c / PHI_0 is computed only by `params`
+    # every value comes from `params` on the geometry preset, which holds
+    # this criterion's inputs
     out = tmp_path / "geometry.json"
     assert main(["params", "--preset", "geometry", "--out", str(out)]) == 0
-    beta_l = json.loads(out.read_text())["squid.screening"]
+    p = json.loads(out.read_text())
 
     checks = []
     for name, value, target in [
-        ("C_LF", lf.total_capacitance, 620e-12),
-        ("L_LF", lf.total_inductance, 267e-12),
-        ("Gamma_e", lf.external_rate, TWO_PI * 14.5e3),
-        ("C_IDC", c_idc, 507e-15),
-        ("C_HF", c_hf, 1.01e-12),
-        ("L_HF", l_hf, 742e-12),
-        ("kappa_e", kappa_e, TWO_PI * 43e3),
+        ("C_LF", p["lf.capacitance"], 620e-12),
+        ("L_LF", p["lf.inductance"], 267e-12),
+        ("Gamma_e", p["lf.external_rate"], TWO_PI * 14.5e3),
+        ("C_IDC", p["hf.idc_capacitance"], 507e-15),
+        ("C_HF", p["hf.capacitance"], 1.01e-12),
+        ("L_HF", p["hf.inductance"], 742e-12),
+        ("kappa_e", p["hf.external_rate"], TWO_PI * 43e3),
     ]:
         r = rel(value, target)
         checks.append((name, r <= 0.02, f"{value:.6g} vs {target:.6g} ({r:.2%})"))
@@ -93,13 +75,13 @@ def test_criterion_1_circuit_derivations(tmp_path):
     # where the quote is the formula value to two figures, that is checked too.
     for name, value, reference, quote, two_figures in [
         # sqrt(hbar * 2pi*391 MHz / (2 * 268.246 pH)) = 21.975 nA
-        ("I_zpf", i_zpf, 21.975e-9, 21e-9, False),
+        ("I_zpf", p["lf.zero_point_current"], 21.975e-9, 21e-9, False),
         # 3 * (mu0/2pi) * 10 um * ln(11 um / 1 um) = 14.387 pH
-        ("M", geom.mutual_inductance, 14.387e-12, 14e-12, True),
+        ("M", p["coupling.mutual_inductance"], 14.387e-12, 14e-12, True),
         # 14.387 pH * 21.975 nA / PHI_0 = 152.90 uPHI_0
-        ("Phi_zpf", geom.zero_point_flux_phi0, 152.90e-6, 145e-6, False),
+        ("Phi_zpf", p["coupling.zero_point_flux_phi0"], 152.90e-6, 145e-6, False),
         # 2 * 120 pH * 10 uA / PHI_0 = 1.1606
-        ("beta_L", beta_l, 1.1606, 1.2, True),
+        ("beta_L", p["squid.screening"], 1.1606, 1.2, True),
     ]:
         r = rel(value, reference)
         ok = r <= 1e-3 and (not two_figures or float(f"{value:.1e}") == quote)
@@ -113,7 +95,7 @@ def test_criterion_1_circuit_derivations(tmp_path):
 
 def test_criterion_2_flux_arch_chain():
     start = time.time()
-    truth = squid_spec_from_fit(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+    truth = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
     arch = preset("flux_arch")
     bias_max = arch["squid.bias_max"]
     phi = np.linspace(-bias_max, bias_max, 61)

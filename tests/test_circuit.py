@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from photonpressure.circuit import (CouplingGeometry, IdcSpec,
-                                    LumpedResonatorSpec, ResonatorParams,
-                                    coupling_geometry, derive_resonator,
-                                    elliptic_k, external_linewidth,
+from photonpressure.circuit import (IdcSpec, LumpedResonatorSpec,
+                                    derive_resonator, elliptic_k, external_linewidth,
                                     idc_capacitance, infer_inductance,
                                     lc_frequency, mutual_inductance,
                                     parallel_plate_capacitance,
@@ -66,8 +64,7 @@ class TestEllipticK:
 
 def idc_spec(**overrides):
     base = dict(finger_count=90, finger_length=100e-6, finger_width=1e-6,
-                gap_width=1e-6, effective_permittivity=(11.8 + 1) / 2,
-                parallel_count=1)
+                gap_width=1e-6, effective_permittivity=(11.8 + 1) / 2)
     base.update(overrides)
     return IdcSpec(**base)
 
@@ -77,8 +74,6 @@ class TestIdcCapacitance:
         c = idc_capacitance(idc_spec())
         assert c == pytest.approx(5.068254612513124e-13, rel=1e-12)
         assert c == pytest.approx(507e-15, rel=0.01)
-        assert idc_capacitance(idc_spec(parallel_count=2)) == pytest.approx(2 * c, rel=1e-14)
-        assert idc_capacitance(idc_spec(parallel_count=2)) == pytest.approx(1.01e-12, rel=0.01)
 
     def test_equal_width_and_gap_inner_term(self):
         # a == b makes k1 = sin(pi/4) its own complement, so K-ratio is 1 and
@@ -201,24 +196,9 @@ class TestMutualInductance:
     def test_zero_extent(self):
         assert mutual_inductance(10e-6, 5e-6, 5e-6 + 1e-20) == pytest.approx(0.0, abs=1e-25)
 
-    @given(i_zpf=positive)
-    def test_flux_linear_in_current(self, i_zpf):
-        geom = coupling_geometry(10e-6, 1e-6, 11e-6, i_zpf)
-        assert geom.mutual_inductance == pytest.approx(
-            mutual_inductance(10e-6, 1e-6, 11e-6), rel=1e-14)
-        assert geom.zero_point_flux == pytest.approx(
-            geom.mutual_inductance * i_zpf, rel=1e-14)
-
-    def test_device_flux(self):
-        # with the quoted 21 nA the loop flux is 146 uPHI_0 (quoted ~145)
-        geom = coupling_geometry(10e-6, 1e-6, 11e-6, 21e-9)
-        assert geom.zero_point_flux_phi0 == pytest.approx(146.1e-6, rel=1e-3)
-
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             mutual_inductance(10e-6, 2e-6, 1e-6)
-        with pytest.raises(DomainError):
-            CouplingGeometry(10e-6, 2e-6, 1e-6, 14e-12, 21e-9, 14e-12 * 21e-9)
 
 
 class TestDerivedResonator:
@@ -228,14 +208,6 @@ class TestDerivedResonator:
         assert params.total_inductance == pytest.approx(268.2e-12, rel=1e-3)
         assert params.external_rate == pytest.approx(TWO_PI * 14.65e3, rel=1e-3)
         assert params.resonance_frequency == pytest.approx(TWO_PI * 391e6, rel=1e-12)
-
-    def test_params_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            ResonatorParams(resonance_frequency=TWO_PI * 391e6,
-                            internal_rate=0.0, external_rate=0.0,
-                            total_inductance=300e-12,
-                            total_capacitance=620e-12,
-                            coupling_capacitance=434e-15)
 
 
 def test_constants_are_codata_2022():

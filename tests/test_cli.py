@@ -13,7 +13,7 @@ import pytest
 
 import photonpressure
 from photonpressure.cli import main
-from photonpressure.squid import squid_frequency, squid_spec_from_fit
+from photonpressure.squid import SquidSpec, squid_frequency
 from photonpressure.traces import read_complex_trace, read_points
 
 TWO_PI = 2 * math.pi
@@ -58,6 +58,18 @@ class TestExitCodes:
         assert run("params", "--preset", "geometry",
                    "--set", "squid.gamma_l=5.0",
                    "--out", str(tmp_path / "x")) == 4
+
+    @pytest.mark.parametrize("key, value", [
+        ("idc.finger_count", "90.5"), ("idc.parallel_count", "2.9"),
+        ("idc.parallel_count", "0"), ("idc.parallel_count", "-1"),
+    ], ids=["fractional-fingers", "fractional-parallel", "zero-parallel",
+            "negative-parallel"])
+    def test_count_not_a_whole_number_is_config_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out.json"
+        assert run("params", "--preset", "geometry", "--set", f"{key}={value}",
+                   "--out", str(out)) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_amplifying_cooperativity_is_domain_error(self, tmp_path):
         # thermal.n_lf follows drive.g; C = 4 g^2 / (kappa gamma0) >= 1 on the
@@ -262,7 +274,7 @@ class TestParams:
         out = tmp_path / "report.json"
         run("params", "--preset", "geometry", "--out", str(out))
         report = json.loads(out.read_text())
-        spec = squid_spec_from_fit(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+        spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
         phi_zpf = report["coupling.zero_point_flux_phi0"]
         for phi in (0.0, 0.14, 0.5):
             assert report[f"coupling.g0_at_{phi:g}"] == pytest.approx(
@@ -322,7 +334,7 @@ class TestFitRoundTrips:
         assert report["lf_frequency"] == pytest.approx(TWO_PI * 391e6, rel=1e-6)
 
     def test_flux_arch_fit_from_point_file(self, tmp_path):
-        spec = squid_spec_from_fit(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+        spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
         phi = np.linspace(-0.5, 0.5, 21)
         freq_hz = squid_frequency(phi, spec) / TWO_PI
         points = tmp_path / "arch.dat"

@@ -10,7 +10,7 @@ from photonpressure.errors import (BackgroundEstimationError, DomainError,
 from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
-from photonpressure.squid import squid_frequency, squid_spec_from_fit
+from photonpressure.squid import SquidSpec, squid_frequency
 from photonpressure.synth import make_rng
 from photonpressure.traces import ComplexTrace, SpectrumTrace
 
@@ -112,8 +112,12 @@ class TestFitResonanceBare:
         fit = fit_resonance(trace)
         for name in ("omega0", "kappa_i", "kappa_e"):
             assert abs(fit.value(name) - HF_SET[name]) / HF_SET[name] < 1e-10
-        assert fit.background.is_identity(span=TWO_PI * np.ptp(trace.frequency_hz),
-                                          tol=1e-8)
+        bg, span = fit.background, TWO_PI * np.ptp(trace.frequency_hz)
+        assert abs(bg.amplitude_offset - 1.0) < 1e-8
+        assert abs(bg.amplitude_slope) * span < 1e-8
+        assert abs(bg.phase_offset) < 1e-8
+        assert abs(bg.phase_slope) * span < 1e-8
+        assert abs(bg.circle_rotation) < 1e-8
 
     def test_background_removal_idempotent(self):
         freq = np.linspace(5.8432e9, 5.8448e9, 1601)
@@ -185,7 +189,7 @@ class TestFitResonanceBare:
             vals = []
             for seed in (1, 2, 3):
                 trace = make_bare_trace(HF_SET, n=n, sigma=0.01, seed=seed)
-                vals.append(fit_resonance(trace).uncertainty("kappa_i"))
+                vals.append(fit_resonance(trace).as_dict()["kappa_i_err"])
             sigmas.append(np.mean(vals))
         for a, b in zip(sigmas, sigmas[1:]):
             assert a / b == pytest.approx(2.0, rel=0.25)
@@ -241,7 +245,7 @@ def test_background_sweep_reaches_truth(ratio, sigma):
         for name in ("omega0", "kappa_i", "kappa_e"):
             err = abs(fit.value(name) - par[name])
             if sigma:
-                assert err <= 5.0 * fit.uncertainty(name), (case, name)
+                assert err <= 5.0 * fit.as_dict()[name + "_err"], (case, name)
             else:
                 scale = kappa if name == "omega0" else par[name]
                 assert err <= 1e-8 * scale, (case, name, err / scale)
@@ -390,7 +394,7 @@ class TestFitBackaction:
 
 
 class TestFitFluxArch:
-    SPEC = squid_spec_from_fit(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+    SPEC = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
 
     def test_exact_recovery_with_derived_junction(self):
         phi = np.linspace(-0.52, 0.52, 41)

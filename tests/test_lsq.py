@@ -76,7 +76,7 @@ class TestNonlinear:
         assert result.value("slope") == pytest.approx(2.0, abs=0.05)
         # analytic standard error of the slope for this design matrix
         sigma = 0.05 / np.sqrt(np.sum((x - x.mean()) ** 2))
-        assert result.uncertainty("slope") == pytest.approx(sigma, rel=0.3)
+        assert result.as_dict()["slope_err"] == pytest.approx(sigma, rel=0.3)
 
     def test_named_lookup_errors(self):
         result = least_squares(lambda p: p - 1.0, np.array([0.0]), names=("a",))

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from photonpressure.errors import BeyondArchError, DomainError
-from photonpressure.squid import (flux_responsivity, single_photon_coupling,
-                                  squid_frequency, squid_spec_from_fit)
+from photonpressure.squid import (SquidSpec, flux_responsivity,
+                                  single_photon_coupling, squid_frequency)
 
 TWO_PI = 2 * math.pi
 
@@ -15,10 +15,8 @@ TWO_PI = 2 * math.pi
 @pytest.fixture(scope="module")
 def device():
     # fitted arch of the measured cavity
-    return squid_spec_from_fit(sweet_spot_frequency=TWO_PI * 5.844e9,
-                               dilution=0.982, arch_widening=0.59,
-                               total_inductance=742e-12,
-                               loop_inductance=120e-12)
+    return SquidSpec(sweet_spot_frequency=TWO_PI * 5.844e9, dilution=0.982,
+                     arch_widening=0.59, total_inductance=742e-12)
 
 
 class TestSpec:
@@ -28,16 +26,9 @@ class TestSpec:
         assert device.junction_inductance == pytest.approx(27e-12, rel=0.03)
         assert device.critical_current == pytest.approx(12e-6, rel=0.03)
 
-    def test_screening_consistency(self):
-        spec = squid_spec_from_fit(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12,
-                                   loop_inductance=120e-12)
-        from photonpressure.constants import PHI_0
-        assert spec.screening == pytest.approx(
-            2 * spec.loop_inductance * spec.critical_current / PHI_0, rel=1e-12)
-
     def test_invalid_dilution(self):
         with pytest.raises(DomainError):
-            squid_spec_from_fit(TWO_PI * 5.844e9, 1.2, 0.59, 742e-12)
+            SquidSpec(TWO_PI * 5.844e9, 1.2, 0.59, 742e-12)
 
 
 class TestSquidFrequency:
