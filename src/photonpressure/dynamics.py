@@ -10,8 +10,9 @@ probed directly at its own (absolute) frequency.
 
 All functions are pure and accept scalars or arrays for the frequency
 argument.  chi_c, chi_c*(-Omega) and chi_eff are written once, in
-:func:`_pumped_terms`, which the responses and the pumped fit's Jacobian
-share.  :class:`BackgroundModel` is the instrumental background of a trace.
+:func:`_pumped_terms`; :func:`_pumped_reflection` returns them with the
+reflection, so the pumped fit builds its Jacobian from the same terms.
+:class:`BackgroundModel` is the instrumental background of a trace.
 """
 
 from __future__ import annotations
@@ -109,6 +110,14 @@ def _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning):
     return chi_c, chi_cm, a, p, 1.0 / (p - a * (chi_c - chi_cm))
 
 
+def _pumped_reflection(om, kappa_i, kappa_e, lf_frequency, lf_linewidth, g, detuning):
+    """:func:`s11_pumped` at pump offsets ``om``, without its checks, and the
+    :func:`_pumped_terms` tuple it was computed from."""
+    terms = _pumped_terms(om, kappa_i + kappa_e, lf_frequency, lf_linewidth, g, detuning)
+    chi_c, _, a, _, chi_eff = terms
+    return np.conj(1.0 - kappa_e * chi_c * (1.0 + a * chi_c * chi_eff)), terms
+
+
 def effective_lf_susceptibility(offset, lf_frequency, lf_linewidth, g, detuning, kappa):
     """Low-frequency susceptibility including the pump-mediated self-energy.
 
@@ -149,9 +158,8 @@ def s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_frequency, lf_linewidth
     if lf_linewidth <= 0:
         raise DomainError("low-frequency linewidth must be positive")
     om = np.atleast_1d(np.asarray(omega_probe, dtype=float)) - (omega0 + detuning)
-    chi_c, _, a, _, chi_eff = _pumped_terms(om, kappa_i + kappa_e, lf_frequency,
-                                            lf_linewidth, g, detuning)
-    out = np.conj(1.0 - kappa_e * chi_c * (1.0 + a * chi_c * chi_eff))
+    out, _ = _pumped_reflection(om, kappa_i, kappa_e, lf_frequency, lf_linewidth,
+                                g, detuning)
     return _ret(out, np.ndim(omega_probe) == 0)
 
 

@@ -9,9 +9,12 @@ a complex reflection trace on top of a slowly varying instrumental background:
    form; an algebraic circle fit of the background-divided data seeds the
    resonance-circle rotation theta and the coupling;
 2. fit resonance and background jointly from that seed, with the analytic
-   Jacobian of either model, to a 1e-11 step / 1e-12 cost tolerance.  This
-   is the only nonlinear fit, so the result's iterations, evaluations,
-   cost history and message describe the whole fit.
+   Jacobian of either model, to a 1e-11 step / 1e-12 cost tolerance.  The
+   model is evaluated once per residual; at each accepted point the
+   engine asks that evaluation for its Jacobian, which is built from the
+   evaluation's own intermediates straight into the engine's stacked real
+   matrix.  This is the only nonlinear fit, so the result's iterations,
+   evaluations, cost history and message describe the whole fit.
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
@@ -24,8 +27,8 @@ import math
 
 import numpy as np
 
-from .dynamics import (BackgroundModel, _pumped_terms, backaction_sideband,
-                       s11_bare, s11_pumped)
+from .dynamics import (BackgroundModel, _pumped_reflection, backaction_sideband,
+                       s11_bare)
 from .errors import (BackgroundEstimationError, DomainError,
                      NonIdentifiableError)
 from .lsq import FitResult, least_squares
@@ -190,33 +193,43 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     kappa_e0 = max(width0 * tilt_mag / 2.0, width0 * 0.01)
     kappa_i0 = max(width0 - kappa_e0, width0 * 0.05)
 
+    # resonance(pars) returns the resonance term and the intermediates that
+    # resonance_jac(pars, state) turns into its complex columns
     if model == "bare":
         res_names = ("omega0", "kappa_i", "kappa_e", "theta")
         res_ref = np.array([center0, 0.0, 0.0, 0.0])
         res_scale = np.array([width0, width0, width0, 1.0])
         res0 = np.array([center0, kappa_i0, kappa_e0, theta0])
 
-        def resonance(omega_arr, pars):
+        def resonance(pars):
             om0, ki, ke, theta = pars
-            dip = 1.0 - s11_bare(omega_arr, om0, abs(ki), abs(ke))
-            return 1.0 - dip * np.exp(1j * theta)
-
-        def resonance_jac(pars):
-            # d/d(omega0, kappa_i, kappa_e, theta) of resonance(omega, pars),
-            # dip = 2|ke| z with z = 1/(|ki| + |ke| + 2i(omega - omega0))
-            om0, ki, ke, theta = pars
-            z = 1.0 / (abs(ki) + abs(ke) + 2j * (omega - om0))
             rot = np.exp(1j * theta)
-            return np.column_stack([
+            dip = 1.0 - s11_bare(omega, om0, abs(ki), abs(ke))
+            return 1.0 - dip * rot, rot
+
+        def resonance_jac(pars, rot):
+            # d/d(omega0, kappa_i, kappa_e, theta) of the resonance term,
+            # dip = 2|ke| z with z = 1/(|ki| + |ke| + 2i(omega - omega0));
+            # s11_bare divides 2|ke| by that denominator instead, so z has
+            # no value to share with it
+            om0, ki, ke, _ = pars
+            z = 1.0 / (abs(ki) + abs(ke) + 2j * (omega - om0))
+            return [
                 -4j * abs(ke) * z * z * rot,
                 2.0 * _sign(ki) * abs(ke) * z * z * rot,
                 -2.0 * _sign(ke) * z * (1.0 - abs(ke) * z) * rot,
                 -2j * abs(ke) * z * rot,
-            ])
+            ]
     else:
         ke_fix = float(pumped["kappa_e"])
         gamma0_fix = float(pumped["gamma0"])
         detuning_fix = float(pumped["detuning"])
+        # the checks s11_pumped would make; the fit evaluates the reflection
+        # through dynamics._pumped_reflection, which makes none
+        if ke_fix < 0:
+            raise DomainError("decay rates must be >= 0 with a positive total")
+        if gamma0_fix <= 0:
+            raise DomainError("low-frequency linewidth must be positive")
         g0_guess = float(pumped.get("g", width0))
         lf_guess = float(pumped.get("lf_frequency", abs(detuning_fix)))
         res_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")
@@ -225,39 +238,38 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
                               max(width0, gamma0_fix), 1.0])
         res0 = np.array([center0, kappa_i0, g0_guess, lf_guess, theta0])
 
-        def resonance(omega_arr, pars):
+        def resonance(pars):
             om0, ki, g, lf, theta = pars
-            dip = 1.0 - s11_pumped(omega_arr, om0, abs(ki), ke_fix, lf,
-                                   gamma0_fix, g, detuning_fix)
-            return 1.0 - dip * np.exp(1j * theta)
+            om = omega - (om0 + detuning_fix)
+            s, terms = _pumped_reflection(om, abs(ki), ke_fix, lf, gamma0_fix, g,
+                                          detuning_fix)
+            rot = np.exp(1j * theta)
+            return 1.0 - (1.0 - s) * rot, (om, terms, rot)
 
-        def resonance_jac(pars):
-            # d/d(omega0, kappa_i, g, lf_frequency, theta) of resonance(omega,
-            # pars), from the intermediates of dynamics._pumped_terms.  With
+        def resonance_jac(pars, state):
+            # d/d(omega0, kappa_i, g, lf_frequency, theta) of the resonance
+            # term, from the intermediates of dynamics._pumped_terms.  With
             # the pump offset Om = omega - omega0 - detuning, a = 2i lf g^2 and
             # p = lf^2 - Om^2 - i Om gamma0, s11_pumped evaluates
             # s = 1 - ke chi_c (1 + t), t = a chi_c chi_lf,
-            # 1/chi_lf = p - a (chi_c - chi_cm), and resonance is
+            # 1/chi_lf = p - a (chi_c - chi_cm), and the term is
             # 1 - conj(1 - s) e^{i theta}: column j is conj(ds/dp_j) e^{i theta},
             # and d/dtheta is conj(i (1 - s)) e^{i theta}
-            om0, ki, g, lf, theta = pars
-            om = omega - (om0 + detuning_fix)
-            chi_c, chi_cm, a, p, chi_lf = _pumped_terms(
-                om, abs(ki) + ke_fix, lf, gamma0_fix, g, detuning_fix)
+            _, ki, g, lf, _ = pars
+            om, (chi_c, chi_cm, a, p, chi_lf), rot = state
             t = a * chi_c * chi_lf
             c2 = chi_c * chi_c
             f = ke_fix * c2 * chi_lf * chi_lf
             # 2 ds/dkappa; omega0 and kappa move chi_c and chi_cm alike, so
             # ds/domega0 = -ds/dOm shares it
             ds_dk2 = ke_fix * c2 * (1.0 + 2.0 * t) + a * a * f * (c2 - chi_cm * chi_cm)
-            rot = np.exp(1j * theta)
-            return np.column_stack([np.conj(col) * rot for col in (
+            return [np.conj(col) * rot for col in (
                 1j * ds_dk2 + a * f * (2.0 * om + 1j * gamma0_fix),
                 0.5 * _sign(ki) * ds_dk2,
                 -4j * lf * g * p * f,
                 -2j * g ** 2 * (p - 2.0 * lf ** 2) * f,
                 1j * ke_fix * chi_c * (1.0 + t),
-            )])
+            )]
 
     # joint fit of resonance and background, seeded by the closed forms
     names = res_names + ("amplitude_offset", "amplitude_slope",
@@ -268,25 +280,35 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
                                    bg0.phase_offset, bg0.phase_slope]])
 
     n_res = len(res_names)
+    m = omega.size
     w = omega - w_ref
 
-    def full_model(pars):
-        res = resonance(omega, pars[:n_res])
-        a0, a1, b0, b1 = pars[n_res:]
-        return res * (a0 + a1 * w) * np.exp(1j * (b0 + b1 * w))
-
-    def jac(u):
+    def residual(u):
         pars = ref + scale * u
-        res = resonance(omega, pars[:n_res])
+        res, state = resonance(pars[:n_res])
         a0, a1, b0, b1 = pars[n_res:]
+        amp = a0 + a1 * w
         rot = np.exp(1j * (b0 + b1 * w))
-        bg = (a0 + a1 * w) * rot
-        cols = np.column_stack([res * rot, res * w * rot,
-                                1j * res * bg, 1j * w * res * bg])
-        return np.hstack([resonance_jac(pars[:n_res]) * bg[:, None], cols]) * scale
 
-    fit = least_squares(lambda u: full_model(ref + scale * u) - values,
-                        (phys0 - ref) / scale, jac=jac, names=names, step_tol=1e-11)
+        def jacobian():
+            # each complex column, times its parameter's scale, goes straight
+            # into the engine's stacked (2m, n) matrix
+            bg = amp * rot
+            cols = [col * bg for col in resonance_jac(pars[:n_res], state)]
+            cols += [res * rot, res * w * rot, 1j * res * bg, 1j * w * res * bg]
+            jmat = np.empty((2 * m, scale.size))
+            for j, col in enumerate(cols):
+                c = col * scale[j]
+                jmat[:m, j] = c.real
+                jmat[m:, j] = c.imag
+            return jmat
+
+        # (res * amp) * rot rounds unlike res * bg; bg is formed only for
+        # the Jacobian, and only at accepted points
+        return res * amp * rot - values, jacobian
+
+    fit = least_squares(residual, (phys0 - ref) / scale, jac=True, names=names,
+                        step_tol=1e-11)
     fit.params = ref + scale * fit.params
     fit.uncertainties = scale * fit.uncertainties
 

@@ -4,17 +4,21 @@ A small, dependency-free Levenberg-Marquardt-style minimizer used by every
 fit in the package.  Complex residual vectors are stacked as (real, imag)
 pairs, and a step is only ever accepted if it does not increase the cost.
 The Jacobian comes from forward finite differences with step
-max(1e-8*|p|, 1e-12), unless the caller passes ``jac``: a function of
-the parameter vector returning the (m, n) derivative of the residual, real
-or complex like the residual itself and stacked the same way (real rows,
-then imaginary rows).  An analytic ``jac`` saves the n extra residual
-evaluations of every iteration; ``fit_resonance`` passes one to its joint
-resonance-and-background fit for either model, while the Lorentzian,
-backaction and flux-arch fits use the forward differences.  Convergence is
-declared when the relative parameter step drops below ``step_tol`` (default
-1e-9) or the relative cost decrease below ``cost_tol`` (default 1e-12).
-Running out of iterations returns a non-converged result with diagnostics
-instead of raising.  ``FitResult.evaluations`` counts the residual calls.
+max(1e-8*|p|, 1e-12), unless the caller passes ``jac=True``: then
+``residual(p)`` returns ``(r, jac_thunk)``, and ``jac_thunk()`` returns the
+derivative of ``r`` at ``p``, either complex (m, n) like a complex residual
+or already stacked as a real (2m, n) matrix (real rows above imaginary
+rows), which the engine uses without a copy and only within the iteration.
+The engine calls the thunk once per iteration, for the current accepted
+point only and never for a rejected try, so the thunk can build the
+Jacobian from its residual evaluation's intermediates.  ``fit_resonance``
+does so for its joint resonance-and-background fit of either model; the
+Lorentzian, backaction and flux-arch fits use the forward differences.
+Convergence is declared when the relative parameter step drops below
+``step_tol`` (default 1e-9) or the relative cost decrease below
+``cost_tol`` (default 1e-12).  Running out of iterations returns a
+non-converged result with diagnostics instead of raising.
+``FitResult.evaluations`` counts the residual calls, not the thunk calls.
 """
 
 from __future__ import annotations
@@ -72,17 +76,18 @@ def _stack(values) -> np.ndarray:
     values = np.atleast_1d(np.asarray(values))
     if np.iscomplexobj(values):
         return np.concatenate([values.real, values.imag], dtype=float)
-    return values.astype(float)
+    return values.astype(float, copy=False)
 
 
-def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
+def least_squares(residual, x0, *, names=(), jac=False, max_iterations=200,
                   step_tol=1e-9, cost_tol=1e-12) -> FitResult:
     """Minimize sum(|residual(p)|^2) starting from ``x0``.
 
     ``residual`` maps a parameter vector to a real or complex residual
     array.  Returns a :class:`FitResult`; never raises on non-convergence.
-    ``jac``, when given, maps a parameter vector to the residual's (m, n)
-    derivative and replaces the finite differences.
+    With ``jac=True``, ``residual`` returns ``(r, jac_thunk)`` instead, and
+    the thunk's (m, n) or stacked (2m, n) derivative replaces the finite
+    differences (see the module docstring).
     """
     p = np.asarray(x0, dtype=float).copy()
     n = p.size
@@ -92,13 +97,16 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
     def evaluate(q):
         nonlocal evaluations
         evaluations += 1
-        return _stack(residual(q))
+        if jac:
+            r, thunk = residual(q)
+            return _stack(r), thunk
+        return _stack(residual(q)), None
 
     def cost_of(q):
-        r = evaluate(q)
-        return r, float(r @ r)
+        r, thunk = evaluate(q)
+        return r, float(r @ r), thunk
 
-    r, cost = cost_of(p)
+    r, cost, thunk = cost_of(p)
     m = r.size
     history = [cost]
     lam = 0.0
@@ -108,8 +116,8 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
     jtj = np.zeros((n, n))
 
     for iterations in range(1, max_iterations + 1):
-        if jac is not None:
-            jmat = _stack(jac(p))
+        if jac:
+            jmat = _stack(thunk())
         else:
             # forward-difference Jacobian of the stacked residual
             jmat = np.empty((m, n))
@@ -117,7 +125,7 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
                 h = max(1e-8 * abs(p[j]), 1e-12)
                 q = p.copy()
                 q[j] += h
-                jmat[:, j] = (evaluate(q) - r) / h
+                jmat[:, j] = (evaluate(q)[0] - r) / h
         grad = jmat.T @ r
         jtj = jmat.T @ jmat
         diag = np.diag(jtj).copy()
@@ -131,7 +139,7 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
                 step = None
             if step is not None and np.all(np.isfinite(step)):
                 p_try = p + step
-                r_try, cost_try = cost_of(p_try)
+                r_try, cost_try, thunk_try = cost_of(p_try)
                 if np.isfinite(cost_try) and cost_try <= cost:
                     accepted = True
                     break
@@ -142,7 +150,7 @@ def least_squares(residual, x0, *, names=(), jac=None, max_iterations=200,
             break
 
         prev_cost = cost
-        p, r, cost = p_try, r_try, cost_try
+        p, r, cost, thunk = p_try, r_try, cost_try, thunk_try
         history.append(cost)
         lam = 0.0 if lam < 1e-12 else lam / 10.0
 

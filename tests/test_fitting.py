@@ -77,21 +77,35 @@ def check_fit_jacobian(monkeypatch, trace, **fit_kwargs):
     fit_resonance(trace, **fit_kwargs)
     assert len(calls) == 1
     residual, x0, jac = calls[0]
-    assert jac is not None
+    assert jac is True
     rng = np.random.default_rng(4)
     for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         u = x0 + 0.1 * rng.standard_normal(x0.size)
         u[1:3] *= signs
-        analytic = jac(u)
+        analytic = residual(u)[1]()   # stacked: real rows, then imaginary rows
         for j in range(u.size):
             # central differences: omega0 sits on a ~4e10 rad/s carrier,
             # so a forward step of the engine's size (1e-8 linewidths)
             # resolves its column only to ~1e-4
             h = np.zeros(u.size)
             h[j] = 1e-4
-            column = (residual(u + h) - residual(u - h)) / 2e-4
+            column = (residual(u + h)[0] - residual(u - h)[0]) / 2e-4
+            column = np.concatenate([column.real, column.imag])
             err = np.linalg.norm(column - analytic[:, j]) / np.linalg.norm(analytic[:, j])
             assert err < 1e-6, (signs, j, err)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list its calls fill."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestFitResonanceBare:
@@ -181,6 +195,17 @@ class TestFitResonanceBare:
         freq = np.linspace(5.8432e9, 5.8448e9, 601)
         check_fit_jacobian(monkeypatch, make_bare_trace(
             HF_SET, n=601, theta=0.1, background=linear_background(freq)))
+
+    def test_model_evaluated_once_per_residual(self, monkeypatch):
+        # the Jacobian reuses its residual's evaluation instead of a new one
+        from photonpressure import fitting
+
+        calls = count_calls(monkeypatch, fitting, "s11_bare")
+        freq = np.linspace(5.8432e9, 5.8448e9, 601)
+        fit = fit_resonance(make_bare_trace(HF_SET, n=601, theta=0.1, sigma=1e-3,
+                                            background=linear_background(freq)))
+        assert fit.iterations > 1
+        assert len(calls) == fit.evaluations
 
     def test_uncertainty_scales_with_trace_length(self):
         sizes = (128, 512, 2048)
@@ -306,6 +331,27 @@ class TestFitResonancePumped:
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, presets):
         trace, fixed = make_pumped_trace(presets["strong_coupling_B"], n=601)
         check_fit_jacobian(monkeypatch, trace, model="pumped", pumped=fixed)
+
+    def test_model_evaluated_once_per_residual(self, monkeypatch, presets):
+        # the Jacobian is built from the _pumped_terms of its residual's
+        # evaluation, so the terms are computed once per residual call
+        from photonpressure import dynamics
+
+        trace, fixed = make_pumped_trace(presets["strong_coupling_B"], n=601)
+        calls = count_calls(monkeypatch, dynamics, "_pumped_terms")
+        fit = fit_resonance(trace, model="pumped", pumped=fixed)
+        assert fit.iterations > 1
+        assert len(calls) == fit.evaluations
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("kappa_e", -1.0, "decay rates"),
+        ("gamma0", 0.0, "linewidth must be positive"),
+        ("gamma0", -1.0, "linewidth must be positive")])
+    def test_bad_fixed_rate_is_domain_error(self, presets, key, value, message):
+        # s11_pumped's checks, which the fit's residual no longer passes through
+        trace, fixed = make_pumped_trace(presets["strong_coupling_B"], n=601)
+        with pytest.raises(DomainError, match=message):
+            fit_resonance(trace, model="pumped", pumped={**fixed, key: value})
 
 
 class TestFitLorentzian:

@@ -97,12 +97,12 @@ class TestAnalyticJacobian:
                 return np.exp(-p[0] * x) * p[1] - data
             return residual
 
-        def jac(p):
+        def with_jac(p):
             e = np.exp(-p[0] * x)
-            return np.column_stack([-x * e * p[1], e])
+            return counted("jac")(p), lambda: np.column_stack([-x * e * p[1], e])
 
         fd = least_squares(counted("fd"), np.array([0.5, 2.0]))
-        an = least_squares(counted("jac"), np.array([0.5, 2.0]), jac=jac)
+        an = least_squares(with_jac, np.array([0.5, 2.0]), jac=True)
         assert fd.converged and an.converged
         np.testing.assert_allclose(an.params, fd.params, rtol=1e-7)
         np.testing.assert_allclose(an.uncertainties, fd.uncertainties, rtol=1e-5)
@@ -114,12 +114,44 @@ class TestAnalyticJacobian:
         target = 2.0 * np.exp(0.7j)
 
         def residual(p):
-            return np.array([p[0] * np.exp(1j * p[1]) - target])
-
-        def jac(p):
             rot = np.exp(1j * p[1])
-            return np.array([[rot, 1j * p[0] * rot]])
+            return (np.array([p[0] * rot - target]),
+                    lambda: np.array([[rot, 1j * p[0] * rot]]))
 
-        result = least_squares(residual, np.array([1.0, 0.0]), jac=jac)
+        result = least_squares(residual, np.array([1.0, 0.0]), jac=True)
         assert result.converged
         np.testing.assert_allclose(result.params, [2.0, 0.7], rtol=1e-10)
+
+    def test_thunk_called_once_per_iteration_at_accepted_points(self):
+        # Rosenbrock from (-1.2, 1) rejects some tries.  Each thunk call must
+        # come right after the residual call that made it (so never after a
+        # rejected try) and at that call's parameters: first x0, then each
+        # accepted point but the last.
+        events = []
+
+        def rosenbrock(p):
+            return np.array([10 * (p[1] - p[0] ** 2), 1 - p[0]])
+
+        def residual(p):
+            p = p.copy()
+            k = sum(kind == "r" for kind, _ in events)
+            events.append(("r", p))
+
+            def thunk():
+                events.append(("j", k))
+                return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+            return rosenbrock(p), thunk
+
+        result = least_squares(residual, np.array([-1.2, 1.0]), jac=True)
+        assert result.converged
+        calls = [p for kind, p in events if kind == "r"]
+        thunks = [(i, k) for i, (kind, k) in enumerate(events) if kind == "j"]
+        assert result.evaluations == len(calls)
+        assert len(thunks) == result.iterations
+        assert result.evaluations > 1 + result.iterations   # some tries were rejected
+        for i, k in thunks:
+            assert events[i - 1] == ("r", calls[k])
+        costs = [float(rosenbrock(calls[k]) @ rosenbrock(calls[k])) for _, k in thunks]
+        assert costs == result.cost_history[:-1]
+        assert np.array_equal(calls[thunks[0][1]], [-1.2, 1.0])
