@@ -260,16 +260,13 @@ def cmd_fit(args) -> int:
             pumped.update({name: need(cfg, key) for name, key in
                            (("g", "drive.g"), ("lf_frequency", "lf.omega0")) if key in cfg})
         fit = fit_resonance(trace, model=args.model, pumped=pumped)
-        if args.out:
-            write_complex_trace(str(args.out) + ".trace",
-                                fit.extras["corrected_trace"])
     elif args.model == "lorentzian":
         fit = fit_lorentzian(read_spectrum_trace(args.infile))
     elif args.model == "flux_arch":
         # columns: flux bias in PHI_0 units, resonance frequency in Hz
         _, data = read_points(args.infile, n_columns=2)
         total_l = (need(cfg, "squid.total_inductance")
-                   if cfg.get("squid.total_inductance") else None)
+                   if "squid.total_inductance" in cfg else None)
         fit = fit_flux_arch(data[:, 0], TWO_PI * data[:, 1], total_inductance=total_l)
     elif args.model == "backaction":
         _, data = read_points(args.infile, n_columns=3)
@@ -281,6 +278,8 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         raise ConvergenceError(
             f"fit did not converge after {fit.iterations} iterations: {fit.message}")
+    if args.out and "corrected_trace" in fit.extras:
+        write_complex_trace(str(args.out) + ".trace", fit.extras["corrected_trace"])
     report = fit.as_dict()
     if fit.background is not None:
         report.update(background_params(fit.background))

@@ -8,17 +8,16 @@ a complex reflection trace on top of a slowly varying instrumental background:
    (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline in closed
    form; an algebraic circle fit of the background-divided data seeds the
    resonance-circle rotation theta and the coupling;
-2. fit resonance and background jointly from that seed, with the analytic
-   Jacobian of either model, to a 1e-11 step / 1e-12 cost tolerance.  The
-   model is evaluated once per residual; at each accepted point the
-   engine asks that evaluation for its Jacobian, which is built from the
-   evaluation's own intermediates straight into the engine's stacked real
-   matrix.  This is the only nonlinear fit, so the result's iterations,
-   evaluations, cost history and message describe the whole fit.
+2. fit resonance and background jointly from that seed to a 1e-11 step /
+   1e-12 cost tolerance, evaluating the model once per residual and
+   building the Jacobian from that evaluation straight into the engine's
+   stacked real matrix.  As this is the only nonlinear fit, the result's
+   iterations, evaluations, cost history and message describe it whole.
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
-fit Lorentzian spectra, backaction curves and the flux arch.
+fit Lorentzian spectra, backaction curves and the flux arch; like this one,
+each hands the engine its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def _wrap_angle(a):
 
 
 def _sign(x):
-    """d|x|/dx, taking the forward-difference side at 0."""
+    """d|x|/dx, taking the right-hand side at 0."""
     return -1.0 if x < 0 else 1.0
 
 
@@ -307,8 +306,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
         # the Jacobian, and only at accepted points
         return res * amp * rot - values, jacobian
 
-    fit = least_squares(residual, (phys0 - ref) / scale, jac=True, names=names,
-                        step_tol=1e-11)
+    fit = least_squares(residual, (phys0 - ref) / scale, names=names, step_tol=1e-11)
     fit.params = ref + scale * fit.params
     fit.uncertainties = scale * fit.uncertainties
 
@@ -367,13 +365,17 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
         weights = np.clip(y - offset0, 0.0, None)
         fwhm0 = 2.0 * float(np.sqrt(np.sum(weights * (f - center0) ** 2) / np.sum(weights)))
 
-    def model(pars):
+    def residual(pars):
         off, amp, center, fwhm = pars
         hw2 = (fwhm / 2.0) ** 2
-        return off + amp * hw2 / ((f - center) ** 2 + hw2)
+        dev = f - center
+        den = dev ** 2 + hw2
+        # d/d(offset, amplitude, center, fwhm); fwhm enters squared
+        return off + amp * hw2 / den - y, lambda: np.column_stack([
+            np.ones_like(f), hw2 / den, 2.0 * amp * hw2 * dev / den ** 2,
+            amp * (fwhm / 2.0) * dev ** 2 / den ** 2])
 
-    fit = least_squares(lambda p: model(p) - y,
-                        np.array([offset0, amp0, center0, fwhm0]),
+    fit = least_squares(residual, np.array([offset0, amp0, center0, fwhm0]),
                         names=("offset", "amplitude", "center", "fwhm"),
                         step_tol=1e-12, cost_tol=1e-15)
     fit.params[3] = abs(fit.params[3])
@@ -402,8 +404,19 @@ def fit_backaction(offsets, frequency_shifts, damping_shifts) -> FitResult:
 
     def residual(pars):
         g, kappa = abs(pars[0]), abs(pars[1])
-        ba = backaction_sideband(d, g, max(kappa, 1e-12), "red")
-        return np.concatenate([ba.frequency_shift - shift, ba.damping_shift - damping])
+        k = max(kappa, 1e-12)
+        ba = backaction_sideband(d, g, k, "red")
+
+        def jacobian():
+            # d/d(g, kappa_eff) of the shift rows, then the damping rows,
+            # through |.| and the floor on k
+            den = k ** 2 + 4.0 * d ** 2
+            dg = 8.0 * g / den * np.array([d, np.full_like(d, k)])
+            dk = 4.0 * g ** 2 / den ** 2 * np.array([-2.0 * k * d, 4.0 * d ** 2 - k ** 2])
+            return np.column_stack([_sign(pars[0]) * dg.ravel(),
+                                    (_sign(pars[1]) if kappa > 1e-12 else 0.0) * dk.ravel()])
+
+        return np.concatenate([ba.frequency_shift - shift, ba.damping_shift - damping]), jacobian
 
     fit = least_squares(residual, np.array([g0, kappa0]), names=("g", "kappa_eff"))
     fit.params = np.abs(fit.params)
@@ -470,14 +483,26 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     omega00 = 1.0 / math.sqrt(a + b)
     dilution0 = a / (a + b)
 
-    def model(pars):
+    def residual(pars):
         om0, dil, gl = pars
-        c = np.cos(np.pi * gl * phi)
-        c = np.where(c > 1e-9, c, 1e-9)
-        return om0 / np.sqrt(np.abs(dil + (1.0 - dil) / c))
+        angle = np.pi * gl * phi
+        c = np.cos(angle)
+        free = c > 1e-9
+        c = np.where(free, c, 1e-9)
+        s = dil + (1.0 - dil) / c
+        root = np.sqrt(np.abs(s))
 
-    fit = least_squares(lambda p: model(p) - om,
-                        np.array([omega00, dilution0, gamma_l0]),
+        def jacobian():
+            # d/d(omega0, dilution, gamma_l) of om0 / sqrt|s|; the clamped
+            # cosine does not move with gamma_l
+            ds = -0.5 * om0 / (root * s)
+            dc = np.where(free, -np.pi * phi * np.sin(angle), 0.0)
+            return np.column_stack([1.0 / root, ds * (1.0 - 1.0 / c),
+                                    ds * (dil - 1.0) / c ** 2 * dc])
+
+        return om0 / root - om, jacobian
+
+    fit = least_squares(residual, np.array([omega00, dilution0, gamma_l0]),
                         names=("omega0", "dilution", "gamma_l"))
     om0, dil, gl = fit.params
     if not 0 < dil < 1 or 1.0 - dil < 1e-6:

@@ -1,24 +1,16 @@
 """Damped Gauss-Newton least-squares engine.
 
 A small, dependency-free Levenberg-Marquardt-style minimizer used by every
-fit in the package.  Complex residual vectors are stacked as (real, imag)
-pairs, and a step is only ever accepted if it does not increase the cost.
-The Jacobian comes from forward finite differences with step
-max(1e-8*|p|, 1e-12), unless the caller passes ``jac=True``: then
-``residual(p)`` returns ``(r, jac_thunk)``, and ``jac_thunk()`` returns the
-derivative of ``r`` at ``p``, either complex (m, n) like a complex residual
-or already stacked as a real (2m, n) matrix (real rows above imaginary
-rows), which the engine uses without a copy and only within the iteration.
-The engine calls the thunk once per iteration, for the current accepted
-point only and never for a rejected try, so the thunk can build the
-Jacobian from its residual evaluation's intermediates.  ``fit_resonance``
-does so for its joint resonance-and-background fit of either model; the
-Lorentzian, backaction and flux-arch fits use the forward differences.
-Convergence is declared when the relative parameter step drops below
-``step_tol`` (default 1e-9) or the relative cost decrease below
-``cost_tol`` (default 1e-12).  Running out of iterations returns a
-non-converged result with diagnostics instead of raising.
-``FitResult.evaluations`` counts the residual calls, not the thunk calls.
+fit in the package.  ``residual(p)`` returns ``(r, jac_thunk)``: a real or
+complex residual, stacked as real rows above imaginary rows, and a thunk
+for its analytic derivative at ``p``, complex (m, n) or already stacked
+real (2m, n), used without a copy.  The thunk is called once per iteration
+at the accepted point, never at a rejected try, so it may reuse its
+evaluation's intermediates; the last call is at the returned point, whose
+normal matrix gives the uncertainties.  No step raises the cost.  The fit
+converges when the relative step drops below ``step_tol`` or the relative
+cost decrease below ``cost_tol``; out of iterations it returns a
+non-converged result instead of raising.
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ class FitResult:
     iterations: int
     converged: bool
     message: str
-    evaluations: int = 0            # residual calls, finite differences included
+    evaluations: int = 0            # residual calls; thunk calls not counted
     cost_history: list = field(default_factory=list)
     names: tuple = ()
     background: object = None
@@ -79,31 +71,19 @@ def _stack(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
-def least_squares(residual, x0, *, names=(), jac=False, max_iterations=200,
+def least_squares(residual, x0, *, names=(), max_iterations=200,
                   step_tol=1e-9, cost_tol=1e-12) -> FitResult:
-    """Minimize sum(|residual(p)|^2) starting from ``x0``.
-
-    ``residual`` maps a parameter vector to a real or complex residual
-    array.  Returns a :class:`FitResult`; never raises on non-convergence.
-    With ``jac=True``, ``residual`` returns ``(r, jac_thunk)`` instead, and
-    the thunk's (m, n) or stacked (2m, n) derivative replaces the finite
-    differences (see the module docstring).
-    """
+    """Minimize sum(|r|^2) from ``x0``; ``residual(p)`` returns ``(r, jac_thunk)``
+    (see the module docstring).  Never raises on non-convergence."""
     p = np.asarray(x0, dtype=float).copy()
     n = p.size
-
     evaluations = 0
 
-    def evaluate(q):
+    def cost_of(q):
         nonlocal evaluations
         evaluations += 1
-        if jac:
-            r, thunk = residual(q)
-            return _stack(r), thunk
-        return _stack(residual(q)), None
-
-    def cost_of(q):
-        r, thunk = evaluate(q)
+        r, thunk = residual(q)
+        r = _stack(r)
         return r, float(r @ r), thunk
 
     r, cost, thunk = cost_of(p)
@@ -113,19 +93,10 @@ def least_squares(residual, x0, *, names=(), jac=False, max_iterations=200,
     converged = False
     message = "maximum iterations reached"
     iterations = 0
-    jtj = np.zeros((n, n))
+    jtj = None                      # normal matrix at p, once computed
 
     for iterations in range(1, max_iterations + 1):
-        if jac:
-            jmat = _stack(thunk())
-        else:
-            # forward-difference Jacobian of the stacked residual
-            jmat = np.empty((m, n))
-            for j in range(n):
-                h = max(1e-8 * abs(p[j]), 1e-12)
-                q = p.copy()
-                q[j] += h
-                jmat[:, j] = (evaluate(q)[0] - r) / h
+        jmat = _stack(thunk())
         grad = jmat.T @ r
         jtj = jmat.T @ jmat
         diag = np.diag(jtj).copy()
@@ -151,6 +122,7 @@ def least_squares(residual, x0, *, names=(), jac=False, max_iterations=200,
 
         prev_cost = cost
         p, r, cost, thunk = p_try, r_try, cost_try, thunk_try
+        jtj = None
         history.append(cost)
         lam = 0.0 if lam < 1e-12 else lam / 10.0
 
@@ -163,8 +135,12 @@ def least_squares(residual, x0, *, names=(), jac=False, max_iterations=200,
             converged, message = True, "cost decrease below tolerance"
             break
 
-    # standard uncertainties from the normal matrix at the solution,
-    # scaled by the residual variance (approximate, as usual)
+    # standard uncertainties from the normal matrix at the returned point,
+    # scaled by the residual variance (approximate, as usual); an accepted
+    # last step leaves it to be computed
+    if jtj is None:
+        jmat = _stack(thunk())
+        jtj = jmat.T @ jmat
     uncertainties = np.full(n, np.nan)
     if m > n:
         s2 = cost / (m - n)

@@ -13,6 +13,7 @@ import pytest
 
 import photonpressure
 from photonpressure.cli import main
+from photonpressure.fitting import fit_resonance
 from photonpressure.squid import SquidSpec, squid_frequency
 from photonpressure.traces import read_complex_trace, read_points
 
@@ -77,6 +78,35 @@ class TestExitCodes:
         out = tmp_path / "psd.dat"
         assert run("psd", "--preset", "ppia", "--set", "drive.g=1e6",
                    "--out", str(out)) == 4
+        assert not out.exists()
+
+    def test_nonconverged_fit_writes_no_files(self, tmp_path, monkeypatch, capsys):
+        def nonconverged(*args, **kwargs):
+            fit = fit_resonance(*args, **kwargs)
+            fit.converged, fit.message = False, "maximum iterations reached"
+            return fit
+
+        trace = tmp_path / "hf.dat"
+        out = tmp_path / "report.json"
+        assert run("synth", "--model", "bare", "--preset", "hf_fit",
+                   "--grid", "5.8425e9:5.8455e9:1201", "--out", str(trace)) == 0
+        monkeypatch.setattr("photonpressure.cli.fit_resonance", nonconverged)
+        assert run("fit", str(trace), "--model", "bare", "--out", str(out)) == 5
+        assert "maximum iterations reached" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hf.dat"]
+
+    @pytest.mark.parametrize("value, code", [("0", 4), ("", 2)], ids=["zero", "empty"])
+    def test_bad_flux_arch_total_inductance(self, tmp_path, value, code):
+        # a set key is read whatever its truth value: 0 is not a positive
+        # inductance, and an empty value is not a number
+        spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+        phi = np.linspace(-0.5, 0.5, 21)
+        points = tmp_path / "arch.dat"
+        points.write_text("\n".join(f"{p:.17g} {f:.17g}" for p, f in
+                                    zip(phi, squid_frequency(phi, spec) / TWO_PI)) + "\n")
+        out = tmp_path / "arch.json"
+        assert run("fit", str(points), "--model", "flux_arch",
+                   "--set", f"squid.total_inductance={value}", "--out", str(out)) == code
         assert not out.exists()
 
     def test_axis_collision(self, tmp_path):

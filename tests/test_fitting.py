@@ -59,40 +59,57 @@ def make_pumped_trace(scene, n=2401):
     return ComplexTrace(freq, vals * bg.evaluate(TWO_PI * freq)), fixed
 
 
-def check_fit_jacobian(monkeypatch, trace, **fit_kwargs):
-    """Fit ``trace``; it must make one engine call, with an analytic Jacobian
-    that matches central differences of its residual at 1e-6, on either side
-    of zero for parameters 1 and 2 (bare: kappa_i, kappa_e; pumped: kappa_i,
-    g), which enter through |.| or squared."""
+def engine_calls(monkeypatch, fit, *args, **kwargs):
+    """Run ``fit(*args, **kwargs)``; returns the (residual, x0) of each of its
+    engine calls."""
     from photonpressure import fitting
 
     calls = []
     original = fitting.least_squares
 
-    def spy(residual, x0, **kwargs):
-        calls.append((residual, np.array(x0), kwargs.get("jac")))
-        return original(residual, x0, **kwargs)
+    def spy(residual, x0, **engine_kwargs):
+        calls.append((residual, np.array(x0)))
+        return original(residual, x0, **engine_kwargs)
 
     monkeypatch.setattr(fitting, "least_squares", spy)
-    fit_resonance(trace, **fit_kwargs)
+    fit(*args, **kwargs)
+    return calls
+
+
+def check_jacobian(residual, u, steps):
+    """The Jacobian that ``residual(u)`` hands the engine matches central
+    differences with ``steps`` at 1e-6, column by column."""
+
+    def stacked(values):
+        return np.concatenate([values.real, values.imag]) if np.iscomplexobj(values) else values
+
+    analytic = stacked(residual(u)[1]())   # complex columns stack like the residual
+    assert analytic.shape == (stacked(residual(u)[0]).size, u.size)
+    for j in range(u.size):
+        h = np.zeros(u.size)
+        h[j] = steps[j]
+        # divide by the step as represented: a center on a 5.8 GHz carrier
+        # rounds to 1e-6 Hz
+        column = stacked(residual(u + h)[0] - residual(u - h)[0]) / ((u + h)[j] - (u - h)[j])
+        err = np.linalg.norm(column - analytic[:, j]) / np.linalg.norm(analytic[:, j])
+        assert err < 1e-6, (u, j, err)
+
+
+def check_fit_jacobian(monkeypatch, trace, **fit_kwargs):
+    """Fit ``trace``; it must make one engine call, with an analytic Jacobian
+    that matches central differences of its residual at 1e-6, on either side
+    of zero for parameters 1 and 2 (bare: kappa_i, kappa_e; pumped: kappa_i,
+    g), which enter through |.| or squared."""
+    calls = engine_calls(monkeypatch, fit_resonance, trace, **fit_kwargs)
     assert len(calls) == 1
-    residual, x0, jac = calls[0]
-    assert jac is True
+    residual, x0 = calls[0]
     rng = np.random.default_rng(4)
     for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         u = x0 + 0.1 * rng.standard_normal(x0.size)
         u[1:3] *= signs
-        analytic = residual(u)[1]()   # stacked: real rows, then imaginary rows
-        for j in range(u.size):
-            # central differences: omega0 sits on a ~4e10 rad/s carrier,
-            # so a forward step of the engine's size (1e-8 linewidths)
-            # resolves its column only to ~1e-4
-            h = np.zeros(u.size)
-            h[j] = 1e-4
-            column = (residual(u + h)[0] - residual(u - h)[0]) / 2e-4
-            column = np.concatenate([column.real, column.imag])
-            err = np.linalg.norm(column - analytic[:, j]) / np.linalg.norm(analytic[:, j])
-            assert err < 1e-6, (signs, j, err)
+        # the engine's parameters are scaled to linewidths, so one step
+        # serves every column
+        check_jacobian(residual, u, np.full(u.size, 1e-4))
 
 
 def count_calls(monkeypatch, module, name):
@@ -398,6 +415,14 @@ class TestFitLorentzian:
         fit = fit_lorentzian(SpectrumTrace(freq, bare - pumped))
         assert fit.value("fwhm") * TWO_PI == pytest.approx(gamma_eff, rel=0.10)
 
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
+        _, trace = self.make_spectrum()
+        [(residual, x0)] = engine_calls(monkeypatch, fit_lorentzian, trace)
+        offset, amp, center, fwhm = x0
+        for sign in (1, -1):   # fwhm enters squared
+            u = np.array([1.1 * offset, 0.9 * amp, center + 0.3 * fwhm, sign * 1.2 * fwhm])
+            check_jacobian(residual, u, 1e-4 * np.array([amp, amp, fwhm, fwhm]))
+
     def test_no_peak_rejected(self):
         freq = np.linspace(1e6, 2e6, 64)
         with pytest.raises(NonIdentifiableError):
@@ -422,6 +447,15 @@ class TestFitBackaction:
         g, k = fit.value("g"), fit.value("kappa_eff")
         peak = backaction_sideband(0.0, g, k, "red").damping_shift
         assert peak == pytest.approx(4 * g**2 / k, rel=1e-12)
+
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
+        d = np.linspace(-3 * self.K_TRUE, 3 * self.K_TRUE, 201)
+        ba = backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red")
+        [(residual, x0)] = engine_calls(monkeypatch, fit_backaction, d,
+                                        ba.frequency_shift, ba.damping_shift)
+        for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):   # g and kappa enter as |.|
+            u = x0 * np.array([1.1, 0.9]) * signs
+            check_jacobian(residual, u, 1e-4 * np.abs(u))
 
     def test_all_zero_data_rejected(self):
         d = np.linspace(-1e5, 1e5, 51)
@@ -451,6 +485,17 @@ class TestFitFluxArch:
         assert abs(fit.value("gamma_l") - 0.59) / 0.59 < 1e-9
         assert fit.extras["junction_inductance"] == pytest.approx(27e-12, rel=0.03)
         assert fit.extras["critical_current"] == pytest.approx(12e-6, rel=0.03)
+
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
+        phi = np.linspace(-0.52, 0.52, 41)
+        [(residual, x0)] = engine_calls(monkeypatch, fit_flux_arch, phi,
+                                        squid_frequency(phi, self.SPEC))
+        # at gamma_l = 1.3 the cosine is clamped for |phi| > 0.385, where the
+        # model does not move with gamma_l
+        assert np.any(np.cos(np.pi * 1.3 * phi) <= 1e-9)
+        for gamma_l in (x0[2], 1.3):
+            u = np.array([x0[0], x0[1], gamma_l])
+            check_jacobian(residual, u, 1e-6 * u)
 
     def test_flat_arch_not_identifiable(self):
         phi = np.linspace(-0.5, 0.5, 21)
