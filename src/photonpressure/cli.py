@@ -14,8 +14,8 @@ sweep       2-D |S11| map in dB (outer parameter x probe frequency)
 Parameters come from --preset, then --params FILE (flat JSON), then repeated
 --set KEY=VALUE overrides, in increasing precedence (see :func:`apply_layer`);
 :mod:`synth` turns the flat set into model inputs.  Grids are given as
-START:STOP:POINTS in Hz.  Exit codes: 0 success, 2 configuration error,
-3 parse error, 4 domain error, 5 fit did not converge.
+START:STOP:POINTS in Hz.  Exit codes: 0 success, else the ``exit_code`` of
+the :mod:`errors` class raised (2 configuration, 3 parse, 4 domain, 5 fit).
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ from .traces import (SpectrumTrace, read_complex_trace, read_params,
 TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_DOMAIN = 4
-EXIT_NOCONV = 5
 
 
 # --- configuration plumbing -------------------------------------------------
@@ -410,27 +406,19 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+        return EXIT_OK if exc.code in (0, None) else ConfigError.exit_code
+    # non-finite results are refused where written; numpy's warnings would repeat that
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TraceFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except PhotonPressureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        error = exc
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable input file
+        error = TraceFormatError(str(exc))
+    except OverflowError:  # Python float arithmetic on a huge parameter
+        error = DomainError("arithmetic overflow: a parameter is too large")
+    print(f"{error.label}: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -1,49 +1,32 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per exit code.
 
 Every error raised on purpose by this package derives from
-:class:`PhotonPressureError`, so callers can catch one base class.  The CLI
-maps the subclasses to distinct exit codes.
+:class:`PhotonPressureError`, so callers can catch one base class.  Each
+subclass carries the CLI exit code and the label of its message line, so the
+exit-code table lives here and nowhere else.
 """
 
 
 class PhotonPressureError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; never raised itself."""
+
+    exit_code: int
+    label: str
 
 
 class ConfigError(PhotonPressureError, ValueError):
     """Invalid run configuration (unknown preset, bad key, axis collision)."""
 
-
-class DomainError(PhotonPressureError, ValueError):
-    """Physically invalid input (non-positive length, rate, temperature...)."""
-
-
-class BeyondArchError(DomainError):
-    """Flux bias outside the arch: the Josephson inductance diverges."""
-
-
-class CalibrationError(DomainError):
-    """Noise-calibration input is unusable (e.g. non-positive background)."""
-
-
-class UnstableRegimeError(DomainError):
-    """Cooperativity at or above the self-oscillation threshold on the
-    amplifying sideband; occupations are undefined there."""
-
-
-class NonIdentifiableError(PhotonPressureError):
-    """The data cannot constrain the requested parameters."""
-
-
-class BackgroundEstimationError(PhotonPressureError, ValueError):
-    """Not enough off-resonant baseline to estimate the background."""
+    exit_code = 2
+    label = "configuration error"
 
 
 class TraceFormatError(PhotonPressureError, ValueError):
-    """A trace or parameter file failed to parse.
+    """A trace or parameter file failed to parse; ``line`` is the 1-based
+    line number, when one is known."""
 
-    Carries the 1-based line number when one is known.
-    """
+    exit_code = 3
+    label = "parse error"
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -52,5 +35,16 @@ class TraceFormatError(PhotonPressureError, ValueError):
         super().__init__(message)
 
 
+class DomainError(PhotonPressureError, ValueError):
+    """Physically invalid or unusable input: a non-positive rate, a flux bias beyond
+    the arch, C >= 1, data that cannot constrain a fit, too little baseline."""
+
+    exit_code = 4
+    label = "domain error"
+
+
 class ConvergenceError(PhotonPressureError):
     """A fit did not converge and the caller required convergence."""
+
+    exit_code = 5
+    label = "fit error"

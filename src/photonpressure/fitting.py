@@ -28,8 +28,7 @@ import numpy as np
 
 from .dynamics import (BackgroundModel, _pumped_reflection, backaction_sideband,
                        s11_bare)
-from .errors import (BackgroundEstimationError, DomainError,
-                     NonIdentifiableError)
+from .errors import DomainError
 from .lsq import FitResult, least_squares
 from .squid import SquidSpec
 from .traces import ComplexTrace, SpectrumTrace
@@ -52,6 +51,18 @@ def _require_points(n, minimum=_MIN_POINTS):
         raise DomainError(f"need at least {minimum} points for a fit, got {n}")
 
 
+def _half_width(x, y, i0, level):
+    """Width in x between the first points at or below ``level`` on either
+    side of the peak at ``i0``, or the ends of the data."""
+    left = i0
+    while left > 0 and y[left] > level:
+        left -= 1
+    right = i0
+    while right < y.size - 1 and y[right] > level:
+        right += 1
+    return x[right] - x[left]
+
+
 def _initial_dip(omega, mag):
     """Center and linewidth guesses from the deepest dip of |S11|."""
     i0 = int(np.argmin(mag))
@@ -61,14 +72,7 @@ def _initial_dip(omega, mag):
     depth = baseline - mag[i0]
     if depth <= 0:
         return center, (omega[-1] - omega[0]) / 10.0
-    half = mag[i0] + 0.5 * depth
-    left = i0
-    while left > 0 and mag[left] < half:
-        left -= 1
-    right = i0
-    while right < mag.size - 1 and mag[right] < half:
-        right += 1
-    width = omega[right] - omega[left]
+    width = _half_width(omega, -mag, i0, -(mag[i0] + 0.5 * depth))
     if width <= 0:
         width = (omega[-1] - omega[0]) / 100.0
     return center, width
@@ -178,7 +182,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     # background from the off-resonant baseline
     mask = np.abs(omega - center0) <= _MASK_HALFWIDTHS * width0
     if (~mask).sum() < _MIN_BASELINE_FRACTION * omega.size:
-        raise BackgroundEstimationError(
+        raise DomainError(
             f"only {(~mask).sum()} of {omega.size} points are off-resonant; "
             f"need {_MIN_BASELINE_FRACTION:.0%}")
     bg0 = _baseline_background(omega, values, mask, w_ref)
@@ -350,16 +354,9 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
     i0 = int(np.argmax(y))
     amp0 = float(y[i0] - offset0)
     if amp0 <= 0:
-        raise NonIdentifiableError("no peak visible above the median floor")
+        raise DomainError("no peak visible above the median floor")
     center0 = float(f[i0])
-    half = offset0 + 0.5 * amp0
-    left = i0
-    while left > 0 and y[left] > half:
-        left -= 1
-    right = i0
-    while right < y.size - 1 and y[right] > half:
-        right += 1
-    fwhm0 = float(f[right] - f[left])
+    fwhm0 = float(_half_width(f, y, i0, offset0 + 0.5 * amp0))
     if fwhm0 <= 0:
         # second-moment fallback
         weights = np.clip(y - offset0, 0.0, None)
@@ -380,7 +377,7 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
                         step_tol=1e-12, cost_tol=1e-15)
     fit.params[3] = abs(fit.params[3])
     if fit.params[3] <= 0:
-        raise NonIdentifiableError("degenerate peak: fitted width is not positive")
+        raise DomainError("degenerate peak: fitted width is not positive")
     return fit
 
 
@@ -397,10 +394,12 @@ def fit_backaction(offsets, frequency_shifts, damping_shifts) -> FitResult:
         raise DomainError("offset grid and data arrays must share one shape")
     scale = max(np.max(np.abs(shift)), np.max(np.abs(damping)))
     if scale == 0:
-        raise NonIdentifiableError("backaction data is identically zero")
+        raise DomainError("backaction data is identically zero")
 
-    kappa0 = _fwhm_guess(d, damping) or (d[-1] - d[0]) / 4.0
-    g0 = 0.5 * math.sqrt(abs(np.max(damping)) * kappa0)
+    i0 = int(np.argmax(damping))
+    kappa0 = (_half_width(d, damping, i0, damping[i0] / 2.0) if damping[i0] > 0
+              else (d[-1] - d[0]) / 4.0)
+    g0 = 0.5 * math.sqrt(abs(damping[i0]) * kappa0)
 
     def residual(pars):
         g, kappa = abs(pars[0]), abs(pars[1])
@@ -423,17 +422,6 @@ def fit_backaction(offsets, frequency_shifts, damping_shifts) -> FitResult:
     return fit
 
 
-def _fwhm_guess(x, y):
-    i0 = int(np.argmax(y))
-    top = y[i0]
-    if top <= 0:
-        return None
-    above = np.where(y >= top / 2.0)[0]
-    if above.size < 2:
-        return None
-    return float(x[above[-1]] - x[above[0]])
-
-
 def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None) -> FitResult:
     """Fit the frequency-vs-flux arch to (omega0(0), dilution, widening).
 
@@ -441,15 +429,14 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     inside a single arch.  When ``total_inductance`` is given the junction
     inductance and critical current of the fitted :class:`SquidSpec` are
     reported in the extras.  Points spanning more than one arch raise
-    :class:`NonIdentifiableError`; reduce them to one period first.
+    :class:`DomainError`; reduce them to one period first.
     """
     phi = np.asarray(flux_bias, dtype=float)
     om = np.asarray(frequencies, dtype=float)
     if phi.shape != om.shape or phi.size < 5:
         raise DomainError("need >= 5 (flux, frequency) points on a shared grid")
     if np.ptp(om) < 1e-9 * np.mean(om):
-        raise NonIdentifiableError(
-            "arch is flat: dilution and widening are not identifiable")
+        raise DomainError("arch is flat: dilution and widening are not identifiable")
 
     order = np.argsort(phi)
     phi_s, om_s = phi[order], om[order]
@@ -457,7 +444,7 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     tol = 0.05 * np.ptp(om_s)
     left, right = om_s[:i_top + 1], om_s[i_top:]
     if np.any(np.diff(left) < -tol) or np.any(np.diff(right) > tol):
-        raise NonIdentifiableError(
+        raise DomainError(
             "frequency rises again away from the arch top: points appear to "
             "span multiple arches; calibrate the flux axis to one period first")
 
@@ -478,7 +465,7 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
         if best is None or sse < best[0]:
             best = (sse, gamma_l, a, b)
     if best is None:
-        raise NonIdentifiableError("no single-arch model matches the points")
+        raise DomainError("no single-arch model matches the points")
     _, gamma_l0, a, b = best
     omega00 = 1.0 / math.sqrt(a + b)
     dilution0 = a / (a + b)
@@ -506,8 +493,7 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
                         names=("omega0", "dilution", "gamma_l"))
     om0, dil, gl = fit.params
     if not 0 < dil < 1 or 1.0 - dil < 1e-6:
-        raise NonIdentifiableError(
-            f"fitted dilution {dil} leaves the widening unconstrained")
+        raise DomainError(f"fitted dilution {dil} leaves the widening unconstrained")
     if total_inductance is not None:
         spec = SquidSpec(om0, dil, gl, total_inductance)
         fit.extras["junction_inductance"] = spec.junction_inductance

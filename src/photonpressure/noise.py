@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hbar, k_B
-from .errors import CalibrationError, DomainError, UnstableRegimeError
+from .errors import DomainError
 from .traces import SpectrumTrace
 
 __all__ = [
@@ -166,11 +166,11 @@ def extract_current_psd(trace: SpectrumTrace, background: float, n_add_eff: floa
     the trace values; the gain and photon-energy scale cancel in the ratio.
     """
     if background <= 0:
-        raise CalibrationError("background PSD must be positive")
+        raise DomainError("background PSD must be positive")
     if not 0 < cooperativity:
-        raise CalibrationError("cooperativity must be positive")
+        raise DomainError("cooperativity must be positive")
     if not 0 < kappa_e <= kappa:
-        raise CalibrationError("need 0 < kappa_e <= kappa")
+        raise DomainError("need 0 < kappa_e <= kappa")
     values = (trace.values / background - 1.0) * (0.5 + n_add_eff) \
         * 2.0 * kappa / (cooperativity * kappa_e * gamma0) * i_zpf ** 2
     return SpectrumTrace(trace.frequency_hz, values, units="A^2/Hz")
@@ -194,9 +194,8 @@ def backaction_free(n_lf: float, cooperativity: float) -> float:
     meaningful below the self-oscillation threshold C = 1.
     """
     if cooperativity >= 1:
-        raise UnstableRegimeError(
-            f"cooperativity {cooperativity} >= 1: occupation diverges on the "
-            "amplifying sideband")
+        raise DomainError(f"cooperativity {cooperativity} >= 1: occupation diverges on the "
+                          "amplifying sideband")
     if cooperativity < 0 or n_lf < 0:
         raise DomainError("cooperativity and occupation must be >= 0")
     return (1.0 - cooperativity) * n_lf - cooperativity

@@ -184,7 +184,8 @@ def need(params: dict, key: str, default=None) -> float:
     """Value of ``key`` in a flat parameter set, as a finite float.
 
     ``default`` is used when the key is absent; without one a missing key is
-    a :class:`ConfigError`, and so is a value that is not a finite number.
+    a :class:`ConfigError`, and so is a value that is not a finite number
+    (a JSON ``true`` or ``false`` included).
     """
     if key in params:
         value = params[key]
@@ -193,7 +194,7 @@ def need(params: dict, key: str, default=None) -> float:
     else:
         raise ConfigError(f"missing parameter {key!r}")
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):

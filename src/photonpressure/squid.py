@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PHI_0
-from .errors import BeyondArchError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "SquidSpec",
@@ -78,10 +78,8 @@ class SquidSpec:
 def _arch_cosine(flux_bias, spec: SquidSpec):
     c = np.cos(np.pi * spec.arch_widening * np.asarray(flux_bias, dtype=float))
     if np.any(c <= 0.0):
-        raise BeyondArchError(
-            "flux bias beyond the arch (|phi| >= "
-            f"{spec.arch_half_width:.4f} PHI_0): Josephson inductance diverges"
-        )
+        raise DomainError(f"flux bias beyond the arch (|phi| >= {spec.arch_half_width:.4f} "
+                          "PHI_0): Josephson inductance diverges")
     return c
 
 

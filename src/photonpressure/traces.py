@@ -128,9 +128,13 @@ def write_columns(path, columns, header, formats=None):
 
     ``formats`` defaults to ".17g" for every column.  To a file, ``header``
     entries come first, in order, as '# key: value' lines; with no ``path``
-    the data rows alone go to standard output.
+    the data rows alone go to standard output.  A NaN or infinite value is a
+    :class:`DomainError`, raised before anything is written.
     """
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError("output values must be finite, found nan or inf")
+    cols = [a.tolist() for a in arrays]
     fmt = " ".join("%" + spec for spec in formats or [".17g"] * len(cols)) + "\n"
     rows = (fmt % values for values in zip(*cols))
     if not path:

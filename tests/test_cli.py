@@ -25,6 +25,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def package_env():
+    """The environment of a child interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(photonpressure.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 class TestExitCodes:
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert run("respond", "--preset", "nope", "--out", str(tmp_path / "x")) == 2
@@ -43,6 +50,39 @@ class TestExitCodes:
 
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run("fit", str(tmp_path / "missing.dat")) == 3
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit", "{tmp}"], 3),
+        (["params", "--params", "{tmp}"], 3),
+        (["fit", "{tmp}/bin.dat"], 3),
+        (["respond", "--preset", "strong_coupling_D", "--set", "drive.g=1e300"], 4),
+        (["backaction", "--preset", "backaction", "--set", "drive.g=1e200"], 4),
+        (["nms", "--preset", "strong_coupling_D", "--set", "drive.kappa_eff=1e308",
+          "--set", "hf.kappa_i=1e308"], 4),
+        (["backaction", "--preset", "backaction", "--set", "drive.kappa_eff=1e-300"], 4),
+        (["respond", "--preset", "strong_coupling_D", "--params", "{tmp}/bool.json"], 2),
+    ], ids=["fit-directory", "params-directory", "fit-not-utf8", "respond-overflow",
+            "backaction-overflow", "nms-overflow", "backaction-nan-row", "json-boolean"])
+    def test_unusable_input_ends_with_one_error_line(self, tmp_path, capsys, argv, code):
+        (tmp_path / "bin.dat").write_bytes(b"\xff\xfe")
+        (tmp_path / "bool.json").write_text('{"hf.kappa_i": true}')
+        out = tmp_path / "out.dat"
+        assert run(*[a.format(tmp=tmp_path) for a in argv], "--out", str(out)) == code
+        label = {2: "configuration error", 3: "parse error", 4: "domain error"}[code]
+        err = capsys.readouterr().err
+        assert err.startswith(label + ": ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_module_run_prints_one_line(self, tmp_path):
+        # as a program, numpy's warnings about the NaN row would reach stderr too
+        out = tmp_path / "ba.dat"
+        proc = subprocess.run([sys.executable, "-m", "photonpressure.cli", "backaction",
+                               "--preset", "backaction", "--set", "drive.kappa_eff=1e-300",
+                               "--out", str(out)], capture_output=True, text=True,
+                              env=package_env())
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("domain error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_out_fails_before_computing(self, monkeypatch, capsys):
         def computed(*args, **kwargs):
@@ -492,11 +532,8 @@ def test_cli_import_loads_only_numpy_beyond_stdlib():
     # this package itself: a heavy optional dependency would show up here
     code = ("import sys; before = set(sys.modules); import photonpressure.cli; "
             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(photonpressure.__file__).resolve().parents[1]),
-         os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
+                         text=True, env=package_env(), check=True)
     loaded = set(out.stdout.split())
     stdlib = sys.stdlib_module_names
     third_party = {m for m in loaded if m not in stdlib and m.lstrip("_") not in stdlib}

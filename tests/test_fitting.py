@@ -5,8 +5,7 @@ import pytest
 
 from photonpressure.dynamics import (backaction_sideband, s11_bare,
                                      s11_pumped)
-from photonpressure.errors import (BackgroundEstimationError, DomainError,
-                                   NonIdentifiableError)
+from photonpressure.errors import DomainError
 from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
@@ -239,7 +238,8 @@ class TestFitResonanceBare:
     def test_insufficient_baseline_rejected(self):
         par = HF_SET
         trace = make_bare_trace(par, halfwidths=1.2)
-        with pytest.raises((BackgroundEstimationError, DomainError)):
+        with pytest.raises(DomainError, match="span at least 5 estimated linewidths|"
+                                              "points are off-resonant"):
             fit_resonance(trace)
 
     def test_too_few_points(self):
@@ -425,7 +425,7 @@ class TestFitLorentzian:
 
     def test_no_peak_rejected(self):
         freq = np.linspace(1e6, 2e6, 64)
-        with pytest.raises(NonIdentifiableError):
+        with pytest.raises(DomainError, match="no peak visible"):
             fit_lorentzian(SpectrumTrace(freq, np.full(64, 3.0)))
 
 
@@ -459,7 +459,7 @@ class TestFitBackaction:
 
     def test_all_zero_data_rejected(self):
         d = np.linspace(-1e5, 1e5, 51)
-        with pytest.raises(NonIdentifiableError):
+        with pytest.raises(DomainError, match="identically zero"):
             fit_backaction(d, np.zeros(51), np.zeros(51))
 
     def test_noisy_recovery(self):
@@ -499,14 +499,14 @@ class TestFitFluxArch:
 
     def test_flat_arch_not_identifiable(self):
         phi = np.linspace(-0.5, 0.5, 21)
-        with pytest.raises(NonIdentifiableError):
+        with pytest.raises(DomainError, match="arch is flat"):
             fit_flux_arch(phi, np.full(21, TWO_PI * 5.844e9))
 
     def test_multiple_arches_rejected(self):
         inner = np.linspace(-0.3, 0.3, 13)
         phi = np.concatenate([inner, inner + 1.7])
         om = np.concatenate([squid_frequency(inner, self.SPEC)] * 2)
-        with pytest.raises(NonIdentifiableError):
+        with pytest.raises(DomainError, match="rises again"):
             fit_flux_arch(phi, om)
 
     def test_too_few_points(self):
