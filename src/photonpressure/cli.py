@@ -15,7 +15,8 @@ Parameters come from --preset, then --params FILE (flat JSON), then repeated
 --set KEY=VALUE overrides, in increasing precedence (see :func:`apply_layer`);
 :mod:`synth` turns the flat set into model inputs.  Grids are given as
 START:STOP:POINTS in Hz.  Exit codes: 0 success, else the ``exit_code`` of
-the :mod:`errors` class raised (2 configuration, 3 parse, 4 domain, 5 fit).
+the :mod:`errors` class raised (2 configuration, 3 parse, 4 domain, 5 fit);
+an output file that cannot be written is a configuration error.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 
 from . import circuit, dynamics, squid
 from .constants import PHI_0, hbar
-from .errors import (ConfigError, ConvergenceError, DomainError,
-                     PhotonPressureError, TraceFormatError)
+from .errors import ConfigError, ConvergenceError, DomainError, PhotonPressureError
 from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
 from .presets import need, preset as load_preset
 from .synth import (background_from, background_params, cavity_linewidth,
@@ -274,12 +274,12 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         raise ConvergenceError(
             f"fit did not converge after {fit.iterations} iterations: {fit.message}")
-    if args.out and "corrected_trace" in fit.extras:
-        write_complex_trace(str(args.out) + ".trace", fit.extras["corrected_trace"])
     report = fit.as_dict()
     if fit.background is not None:
         report.update(background_params(fit.background))
-    write_params(args.out, report)
+    write_params(args.out, report)  # checks the report before writing either file
+    if args.out and "corrected_trace" in fit.extras:
+        write_complex_trace(str(args.out) + ".trace", fit.extras["corrected_trace"])
     return EXIT_OK
 
 
@@ -413,8 +413,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except PhotonPressureError as exc:
         error = exc
-    except (OSError, UnicodeDecodeError) as exc:  # an unreadable input file
-        error = TraceFormatError(str(exc))
+    except OSError as exc:  # the readers name their own file, so this is the output
+        error = ConfigError(f"cannot write {exc.filename or args.out or 'standard output'}: "
+                            f"{exc.strerror or exc}")
     except OverflowError:  # Python float arithmetic on a huge parameter
         error = DomainError("arithmetic overflow: a parameter is too large")
     print(f"{error.label}: {error}", file=sys.stderr)

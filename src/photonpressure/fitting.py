@@ -16,8 +16,8 @@ a complex reflection trace on top of a slowly varying instrumental background:
 
 The returned result carries the fitted background and a background-corrected
 trace (divided by the background, rotation removed).  The other entry points
-fit Lorentzian spectra, backaction curves and the flux arch; like this one,
-each hands the engine its analytic Jacobian.
+fit Lorentzian spectra, backaction curves and the flux arch (evaluating the arch
+model of :mod:`squid`); like this one, each hands the engine its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .dynamics import (BackgroundModel, _pumped_reflection, backaction_sideband,
                        s11_bare)
 from .errors import DomainError
 from .lsq import FitResult, least_squares
-from .squid import SquidSpec
+from .squid import SquidSpec, _arch
 from .traces import ComplexTrace, SpectrumTrace
 
 __all__ = [
@@ -473,21 +473,15 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     def residual(pars):
         om0, dil, gl = pars
         angle = np.pi * gl * phi
-        c = np.cos(angle)
-        free = c > 1e-9
-        c = np.where(free, c, 1e-9)
-        s = dil + (1.0 - dil) / c
-        root = np.sqrt(np.abs(s))
+        c = np.maximum(np.cos(angle), 1e-9)
+        model, derivatives = _arch(angle, c, om0, dil)
 
         def jacobian():
-            # d/d(omega0, dilution, gamma_l) of om0 / sqrt|s|; the clamped
-            # cosine does not move with gamma_l
-            ds = -0.5 * om0 / (root * s)
-            dc = np.where(free, -np.pi * phi * np.sin(angle), 0.0)
-            return np.column_stack([1.0 / root, ds * (1.0 - 1.0 / c),
-                                    ds * (dil - 1.0) / c ** 2 * dc])
+            # d/d(omega0, dilution, gamma_l); the clamped cosine does not move with gamma_l
+            d_om0, d_dil, d_u = derivatives()
+            return np.column_stack([d_om0, d_dil, np.where(c > 1e-9, d_u * np.pi * phi, 0.0)])
 
-        return om0 / root - om, jacobian
+        return model - om, jacobian
 
     fit = least_squares(residual, np.array([omega00, dilution0, gamma_l0]),
                         names=("omega0", "dilution", "gamma_l"))

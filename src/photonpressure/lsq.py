@@ -9,7 +9,8 @@ at the accepted point, never at a rejected try, so it may reuse its
 evaluation's intermediates; the last call is at the returned point, whose
 normal matrix gives the uncertainties.  No step raises the cost.  The fit
 converges when the relative step drops below ``step_tol`` or the relative
-cost decrease below ``cost_tol``; out of iterations it returns a
+cost decrease below ``cost_tol``, unless that normal matrix is singular (with
+more residuals than parameters); out of iterations it returns a
 non-converged result instead of raising.
 """
 
@@ -137,7 +138,8 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
 
     # standard uncertainties from the normal matrix at the returned point,
     # scaled by the residual variance (approximate, as usual); an accepted
-    # last step leaves it to be computed
+    # last step leaves it to be computed.  A singular one leaves some
+    # parameter unconstrained, so the point is not a converged fit.
     if jtj is None:
         jmat = _stack(thunk())
         jtj = jmat.T @ jmat
@@ -148,7 +150,8 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
             cov = s2 * np.linalg.inv(jtj)
             uncertainties = np.sqrt(np.maximum(np.diag(cov), 0.0))
         except np.linalg.LinAlgError:
-            pass
+            converged = False
+            message = "parameters are not identifiable: singular normal matrix"
 
     return FitResult(
         params=p,

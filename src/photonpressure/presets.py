@@ -24,6 +24,15 @@ _G_BACKACTION = 0.5 * math.sqrt((TWO_PI * 22e3) * (TWO_PI * 110e3))
 _C_PPIA = 6.0 / 11.0
 _G_PPIA = 0.5 * math.sqrt(_C_PPIA * (TWO_PI * 250e3) * (TWO_PI * 22e3))
 
+# fitted flux arch, shared by the geometry chain and the coupling chain
+_ARCH = {
+    "squid.omega0": TWO_PI * 5.844e9,
+    "squid.dilution": 0.982,
+    "squid.gamma_l": 0.59,
+    "squid.total_inductance": 742e-12,
+    "squid.bias_max": 0.546,
+}
+
 _PRESETS: dict[str, dict] = {
     # measured response parameter sets
     "lf": {
@@ -63,24 +72,13 @@ _PRESETS: dict[str, dict] = {
         "loop.far_distance": 11e-6,
         "loop.inductance": 120e-12,
         "junction.critical_current": 10e-6,
-        "squid.omega0": TWO_PI * 5.844e9,
-        "squid.dilution": 0.982,
-        "squid.gamma_l": 0.59,
-        "squid.total_inductance": 742e-12,
-        "squid.bias_max": 0.546,
+        **_ARCH,
     },
     # fitted flux arch and the coupling chain.  The coupling values 21 nA,
     # 14 pH and 145 uPHI_0 (also in "ppia") are the paper's quoted numbers,
     # not what the geometry chain gives: `params --preset geometry` reports
     # 21.975 nA, 14.387 pH and 152.90 uPHI_0.  They stay as reported inputs.
-    "flux_arch": {
-        "squid.omega0": TWO_PI * 5.844e9,
-        "squid.dilution": 0.982,
-        "squid.gamma_l": 0.59,
-        "squid.total_inductance": 742e-12,
-        "squid.bias_max": 0.546,
-        "coupling.zero_point_flux_phi0": 145e-6,
-    },
+    "flux_arch": {**_ARCH, "coupling.zero_point_flux_phi0": 145e-6},
     "coupling": {
         "coupling.mutual_inductance": 14e-12,
         "coupling.zero_point_current": 21e-9,

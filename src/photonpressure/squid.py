@@ -8,13 +8,12 @@ so the resonance frequency over one arch reads
     omega0(phi) = omega0(0) / sqrt(dilution + (1 - dilution)/cos(pi*gamma_l*phi))
 
 with the bias ``phi`` in flux-quantum units and the dilution
-Lambda = (L_total - L_J0/2) / L_total.  Everything here is a pure function of
-the bias point; flux units are PHI_0 externally, SI internally.
+Lambda = (L_total - L_J0/2) / L_total.  ``_arch`` is its one evaluation, used
+here and by the flux-arch fit of :mod:`fitting`; flux is in PHI_0, all else SI.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,7 @@ class SquidSpec:
 
     @property
     def critical_current(self) -> float:  # A, single junction
-        return PHI_0 / (2.0 * math.pi * self.junction_inductance)
+        return PHI_0 / (2.0 * np.pi * self.junction_inductance)
 
     @property
     def arch_half_width(self) -> float:
@@ -75,12 +74,27 @@ class SquidSpec:
         return 0.5 / self.arch_widening
 
 
-def _arch_cosine(flux_bias, spec: SquidSpec):
-    c = np.cos(np.pi * spec.arch_widening * np.asarray(flux_bias, dtype=float))
+def _arch(u, c, omega0, dilution):
+    """The arch omega0 / sqrt|dilution + (1 - dilution)/c| at angles ``u``, with c = cos(u)
+    as the caller checked or clamped it, and a thunk for its d/d(omega0, dilution, u)."""
+    s = dilution + (1.0 - dilution) / c
+    root = np.sqrt(np.abs(s))
+
+    def derivatives():
+        ds = -0.5 * omega0 / (root * s)
+        return 1.0 / root, ds * (1.0 - 1.0 / c), ds * (1.0 - dilution) * np.sin(u) / c ** 2
+
+    return omega0 / root, derivatives
+
+
+def _arch_at(flux_bias, spec: SquidSpec):
+    """:func:`_arch` at bias points in PHI_0 units, which must lie inside the arch."""
+    u = np.pi * spec.arch_widening * np.asarray(flux_bias, dtype=float)
+    c = np.cos(u)
     if np.any(c <= 0.0):
         raise DomainError(f"flux bias beyond the arch (|phi| >= {spec.arch_half_width:.4f} "
                           "PHI_0): Josephson inductance diverges")
-    return c
+    return _arch(u, c, spec.sweet_spot_frequency, spec.dilution)
 
 
 def squid_frequency(flux_bias, spec: SquidSpec):
@@ -89,8 +103,7 @@ def squid_frequency(flux_bias, spec: SquidSpec):
     ``flux_bias`` is in PHI_0 units, scalar or array; the bias must stay
     inside the arch, cos(pi * gamma_l * phi) > 0.
     """
-    c = _arch_cosine(flux_bias, spec)
-    out = spec.sweet_spot_frequency / np.sqrt(spec.dilution + (1.0 - spec.dilution) / c)
+    out, _ = _arch_at(flux_bias, spec)
     return out if out.ndim else float(out)
 
 
@@ -100,14 +113,8 @@ def flux_responsivity(flux_bias, spec: SquidSpec):
     Analytic derivative of the arch model; negative for positive bias.  The
     magnitude is what enters the coupling rate.
     """
-    phi = np.asarray(flux_bias, dtype=float)
-    c = _arch_cosine(phi, spec)
-    u = np.pi * spec.arch_widening * phi
-    lam = spec.dilution
-    sec = 1.0 / c
-    out = (-0.5 * spec.sweet_spot_frequency
-           * (lam + (1.0 - lam) * sec) ** -1.5
-           * (1.0 - lam) * sec * np.tan(u) * np.pi * spec.arch_widening)
+    _, derivatives = _arch_at(flux_bias, spec)
+    out = derivatives()[2] * np.pi * spec.arch_widening
     return out if out.ndim else float(out)
 
 
@@ -119,5 +126,4 @@ def single_photon_coupling(flux_bias, spec: SquidSpec, zero_point_flux_phi0: flo
     """
     if zero_point_flux_phi0 < 0:
         raise DomainError("zero-point flux must be >= 0")
-    out = np.abs(flux_responsivity(flux_bias, spec)) * zero_point_flux_phi0
-    return out if np.ndim(out) else float(out)
+    return abs(flux_responsivity(flux_bias, spec)) * zero_point_flux_phi0

@@ -123,8 +123,11 @@ def background_params(background: BackgroundModel) -> dict:
 
 
 def noise_from(params: dict, seed: int) -> NoiseSpec | None:
-    kind = str(params.get("noise.kind", "none"))
     sigma = need(params, "noise.sigma", 0.0)
+    if sigma != 0.0 and "noise.kind" not in params:
+        raise ConfigError(f"noise.sigma = {sigma:g} has no effect without noise.kind; "
+                          f"set it to one of {_NOISE_KINDS[1:]}")
+    kind = str(params.get("noise.kind", "none"))
     if kind == "none" or sigma == 0.0:
         return None
     return NoiseSpec(kind, sigma, seed=seed)

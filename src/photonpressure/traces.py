@@ -87,6 +87,16 @@ class SpectrumTrace:
         return self.frequency_hz.size
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; one that cannot be opened, read or decoded is a
+    :class:`TraceFormatError` that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def read_points(path, n_columns=None):
     """Read a whitespace-separated numeric table, skipping '#' comments.
 
@@ -96,28 +106,27 @@ def read_points(path, n_columns=None):
     """
     header: dict[str, str] = {}
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    header[key.strip()] = value.strip()
-                continue
-            parts = line.split()
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise TraceFormatError(f"could not parse {line!r}", line=lineno)
-            if n_columns is not None and len(row) != n_columns:
-                raise TraceFormatError(
-                    f"expected {n_columns} columns, found {len(row)}", line=lineno)
-            if rows and len(row) != len(rows[-1]):
-                raise TraceFormatError("inconsistent column count", line=lineno)
-            rows.append(row)
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if ":" in body:
+                key, _, value = body.partition(":")
+                header[key.strip()] = value.strip()
+            continue
+        parts = line.split()
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise TraceFormatError(f"could not parse {line!r}", line=lineno)
+        if n_columns is not None and len(row) != n_columns:
+            raise TraceFormatError(
+                f"expected {n_columns} columns, found {len(row)}", line=lineno)
+        if rows and len(row) != len(rows[-1]):
+            raise TraceFormatError("inconsistent column count", line=lineno)
+        rows.append(row)
     if not rows:
         raise TraceFormatError(f"no data rows in {path}")
     return header, np.asarray(rows, dtype=float)
@@ -170,8 +179,7 @@ def write_spectrum_trace(path, trace: SpectrumTrace) -> None:
 def read_params(path) -> dict:
     """Read a flat JSON key/value document (dotted keys, SI values)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(doc, dict):
@@ -187,7 +195,13 @@ def read_params(path) -> dict:
 
 
 def write_params(path, params: dict) -> None:
-    """Write a flat JSON document; with no ``path``, to standard output."""
+    """Write a flat JSON document; with no ``path``, to standard output.  A NaN
+    or infinite value is a :class:`DomainError`, raised before anything is
+    written."""
+    bad = sorted(key for key, value in params.items()
+                 if isinstance(value, float) and not np.isfinite(value))
+    if bad:
+        raise DomainError(f"output values must be finite, found nan or inf in {bad}")
     text = json.dumps(params, indent=2, sort_keys=True) + "\n"
     if not path:
         sys.stdout.write(text)

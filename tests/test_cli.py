@@ -51,26 +51,36 @@ class TestExitCodes:
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run("fit", str(tmp_path / "missing.dat")) == 3
 
-    @pytest.mark.parametrize("argv, code", [
-        (["fit", "{tmp}"], 3),
-        (["params", "--params", "{tmp}"], 3),
-        (["fit", "{tmp}/bin.dat"], 3),
-        (["respond", "--preset", "strong_coupling_D", "--set", "drive.g=1e300"], 4),
-        (["backaction", "--preset", "backaction", "--set", "drive.g=1e200"], 4),
+    @pytest.mark.parametrize("argv, code, named", [
+        (["fit", "{tmp}"], 3, "{tmp}"),
+        (["params", "--params", "{tmp}"], 3, "{tmp}"),
+        (["fit", "{tmp}/bin.dat"], 3, "{tmp}/bin.dat"),
+        (["respond", "--preset", "strong_coupling_D", "--set", "drive.g=1e300"], 4, ""),
+        (["backaction", "--preset", "backaction", "--set", "drive.g=1e200"], 4, ""),
         (["nms", "--preset", "strong_coupling_D", "--set", "drive.kappa_eff=1e308",
-          "--set", "hf.kappa_i=1e308"], 4),
-        (["backaction", "--preset", "backaction", "--set", "drive.kappa_eff=1e-300"], 4),
-        (["respond", "--preset", "strong_coupling_D", "--params", "{tmp}/bool.json"], 2),
+          "--set", "hf.kappa_i=1e308"], 4, ""),
+        (["backaction", "--preset", "backaction", "--set", "drive.kappa_eff=1e-300"], 4, ""),
+        (["respond", "--preset", "strong_coupling_D", "--params", "{tmp}/bool.json"], 2, ""),
+        (["respond", "--preset", "strong_coupling_D", "--out", "{tmp}/missing/x.dat"], 2,
+         "{tmp}/missing/x.dat"),
     ], ids=["fit-directory", "params-directory", "fit-not-utf8", "respond-overflow",
-            "backaction-overflow", "nms-overflow", "backaction-nan-row", "json-boolean"])
-    def test_unusable_input_ends_with_one_error_line(self, tmp_path, capsys, argv, code):
+            "backaction-overflow", "nms-overflow", "backaction-nan-row", "json-boolean",
+            "unwritable-out"])
+    def test_unusable_input_ends_with_one_error_line(self, tmp_path, capsys, argv, code,
+                                                     named):
+        # ``named`` is the file the message must name; a case with its own
+        # --out writes there instead of to out.dat
         (tmp_path / "bin.dat").write_bytes(b"\xff\xfe")
         (tmp_path / "bool.json").write_text('{"hf.kappa_i": true}')
-        out = tmp_path / "out.dat"
-        assert run(*[a.format(tmp=tmp_path) for a in argv], "--out", str(out)) == code
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out.dat")]
+        out = Path(argv[argv.index("--out") + 1])
+        assert run(*argv) == code
         label = {2: "configuration error", 3: "parse error", 4: "domain error"}[code]
         err = capsys.readouterr().err
         assert err.startswith(label + ": ") and err.count("\n") == 1
+        assert named.format(tmp=tmp_path) in err
         assert not out.exists()
 
     def test_module_run_prints_one_line(self, tmp_path):
@@ -135,6 +145,18 @@ class TestExitCodes:
         assert "maximum iterations reached" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hf.dat"]
 
+    def test_unidentifiable_backaction_fit_writes_nothing(self, tmp_path, capsys):
+        # zero damping pins the seed at g = 0, where the model does not move
+        # with either parameter: the normal matrix is singular, so there are
+        # no uncertainties and no converged fit
+        offsets = np.linspace(-3e5, 3e5, 51)
+        points = tmp_path / "ba.dat"
+        points.write_text("".join(f"{d:.17g} {d / 300:.17g} 0\n" for d in offsets))
+        out = tmp_path / "z.json"
+        assert run("fit", str(points), "--model", "backaction", "--out", str(out)) == 5
+        assert "not identifiable" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, code", [("0", 4), ("", 2)], ids=["zero", "empty"])
     def test_bad_flux_arch_total_inductance(self, tmp_path, value, code):
         # a set key is read whatever its truth value: 0 is not a positive
@@ -165,8 +187,10 @@ class TestExitCodes:
          "--set", "noise.kind=additive-complex-gaussian", "--set", "noise.sigma=0.01",
          "--seed", "-1"],
         ["respond", "--preset", "strong_coupling_D", "--set", "drive.sideband=green"],
+        ["synth", "--model", "pumped", "--preset", "strong_coupling_A",
+         "--set", "noise.sigma=0.002", "--seed", "3"],
     ], ids=["non-numeric", "nan-gamma0", "nan-kappa_eff", "inf-omega0",
-            "negative-points", "negative-seed", "unknown-sideband"])
+            "negative-points", "negative-seed", "unknown-sideband", "sigma-without-kind"])
     def test_bad_value_is_config_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2

@@ -94,6 +94,16 @@ class TestNonlinear:
         sigma = 0.05 / np.sqrt(np.sum((x - x.mean()) ** 2))
         assert result.as_dict()["slope_err"] == pytest.approx(sigma, rel=0.3)
 
+    def test_zero_jacobian_is_not_converged(self):
+        # a model that does not move with its parameters leaves them
+        # unconstrained: the normal matrix is singular at the returned point
+        data = np.linspace(1.0, 2.0, 51)
+        result = least_squares(lambda p: (data - 0.0 * p[0], lambda: np.zeros((51, 2))),
+                               np.array([1.0, 2.0]))
+        assert not result.converged
+        assert "not identifiable" in result.message
+        np.testing.assert_array_equal(result.params, [1.0, 2.0])
+
     def test_named_lookup_errors(self):
         result = least_squares(linear(np.eye(1), np.ones(1)), np.array([0.0]),
                                names=("a",))

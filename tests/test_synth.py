@@ -7,7 +7,7 @@ from photonpressure.dynamics import cooperativity, s11_pumped
 from photonpressure.errors import ConfigError, DomainError
 from photonpressure.fitting import BackgroundModel, fit_resonance
 from photonpressure.noise import DetectionChain, extract_current_psd, thermal_photons_from_peak
-from photonpressure.synth import NoiseSpec, make_rng, synth_psd, synth_s11
+from photonpressure.synth import NoiseSpec, make_rng, noise_from, synth_psd, synth_s11
 from photonpressure.constants import hbar
 
 TWO_PI = 2 * math.pi
@@ -215,3 +215,10 @@ class TestNoiseSpecValidation:
     def test_seed_outside_generator_key_range(self, seed):
         with pytest.raises(DomainError):
             NoiseSpec("additive-complex-gaussian", 0.01, seed)
+
+    def test_sigma_without_kind_is_config_error(self):
+        # a sigma with no kind would be read and then have no effect
+        with pytest.raises(ConfigError, match="noise.kind"):
+            noise_from({"noise.sigma": 0.002}, seed=3)
+        assert noise_from({"noise.sigma": 0.0}, seed=3) is None
+        assert noise_from({"noise.kind": "none", "noise.sigma": 0.002}, seed=3) is None

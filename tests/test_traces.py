@@ -97,3 +97,11 @@ class TestParseErrors:
         path.write_text('{"a": 1,}')
         with pytest.raises(TraceFormatError):
             read_params(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_write_params_refuses_non_finite_before_writing(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(DomainError, match="'g_err'"):
+        write_params(path, {"g": 0.0, "g_err": value, "converged": True})
+    assert not path.exists()
