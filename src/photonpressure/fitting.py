@@ -7,7 +7,10 @@ a complex reflection trace on top of a slowly varying instrumental background:
    initial-guess center) and estimate the background
    (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline in closed
    form; an algebraic circle fit of the background-divided data seeds the
-   resonance-circle rotation theta and the coupling;
+   resonance-circle rotation theta and the coupling.  The pumped model's
+   center is seeded at the midpoint of the outermost points at or below half
+   depth of the background-divided |S11|, between its two hybrid-mode dips,
+   rather than at the deeper of them;
 2. fit resonance and background jointly from that seed to a 1e-11 step /
    1e-12 cost tolerance, evaluating the model once per residual and
    building the Jacobian from that evaluation straight into the engine's
@@ -63,19 +66,39 @@ def _half_width(x, y, i0, level):
     return x[right] - x[left]
 
 
-def _initial_dip(omega, mag):
-    """Center and linewidth guesses from the deepest dip of |S11|."""
+def _dip_depth(mag):
+    """Index of the deepest point of |S11| and its depth below the median of
+    the outer tenths of the trace."""
     i0 = int(np.argmin(mag))
-    center = omega[i0]
     edge = max(1, mag.size // 10)
     baseline = float(np.median(np.concatenate([mag[:edge], mag[-edge:]])))
-    depth = baseline - mag[i0]
+    return i0, baseline - mag[i0]
+
+
+def _initial_dip(omega, mag):
+    """Center and linewidth guesses from the deepest dip of |S11|."""
+    i0, depth = _dip_depth(mag)
+    center = omega[i0]
     if depth <= 0:
         return center, (omega[-1] - omega[0]) / 10.0
     width = _half_width(omega, -mag, i0, -(mag[i0] + 0.5 * depth))
     if width <= 0:
         width = (omega[-1] - omega[0]) / 100.0
     return center, width
+
+
+def _dip_midpoint(omega, mag, fallback):
+    """Midpoint of the outermost points at or below half the depth of |S11|,
+    or ``fallback`` when the trace shows no dip.
+
+    A split dip (the two hybrid modes of a strongly pumped resonance) gives
+    its center rather than the deeper of its halves.
+    """
+    i0, depth = _dip_depth(mag)
+    if depth <= 0:
+        return fallback
+    below = np.flatnonzero(mag <= mag[i0] + 0.5 * depth)
+    return 0.5 * (omega[below[0]] + omega[below[-1]])
 
 
 def _circle_rotation_guess(values):
@@ -233,6 +256,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
             raise DomainError("decay rates must be >= 0 with a positive total")
         if gamma0_fix <= 0:
             raise DomainError("low-frequency linewidth must be positive")
+        center0 = _dip_midpoint(omega, np.abs(corrected), center0)
         g0_guess = float(pumped.get("g", width0))
         lf_guess = float(pumped.get("lf_frequency", abs(detuning_fix)))
         res_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")

@@ -4,14 +4,23 @@ A small, dependency-free Levenberg-Marquardt-style minimizer used by every
 fit in the package.  ``residual(p)`` returns ``(r, jac_thunk)``: a real or
 complex residual, stacked as real rows above imaginary rows, and a thunk
 for its analytic derivative at ``p``, complex (m, n) or already stacked
-real (2m, n), used without a copy.  The thunk is called once per iteration
-at the accepted point, never at a rejected try, so it may reuse its
-evaluation's intermediates; the last call is at the returned point, whose
-normal matrix gives the uncertainties.  No step raises the cost.  The fit
-converges when the relative step drops below ``step_tol`` or the relative
-cost decrease below ``cost_tol``, unless that normal matrix is singular (with
-more residuals than parameters); out of iterations it returns a
-non-converged result instead of raising.
+real (2m, n), used without a copy.  The thunk is called once at the seed
+and once at each accepted point, never at a rejected try, so it may reuse
+its evaluation's intermediates; the last call is at the returned point,
+whose normal matrix gives the uncertainties.  No step raises the cost.
+
+Each iteration starts by solving for the undamped step at the current
+point.  When that step predicts a cost decrease of at most ``cost_tol`` of
+the cost (the predicted-reduction test of MINPACK), the point is returned
+as converged before any further residual evaluation, and the normal matrix
+just formed gives the uncertainties; otherwise the same step is the first,
+undamped try.  The fit also converges when an accepted step's relative size
+drops below ``step_tol`` or its relative cost decrease below ``cost_tol``;
+then the thunk at the returned point is called once more.  A singular
+normal matrix there (with more residuals than parameters) makes the result
+non-converged; out of iterations the engine returns a non-converged result
+instead of raising.  So ``evaluations`` is 1 + iterations + rejected tries,
+and ``cost_history`` holds iterations + 1 costs.
 """
 
 from __future__ import annotations
@@ -72,6 +81,16 @@ def _stack(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _solve(a, grad):
+    """The step solving a @ step = -grad, or None when a is singular or the
+    step is not finite."""
+    try:
+        step = np.linalg.solve(a, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
+
+
 def least_squares(residual, x0, *, names=(), max_iterations=200,
                   step_tol=1e-9, cost_tol=1e-12) -> FitResult:
     """Minimize sum(|r|^2) from ``x0``; ``residual(p)`` returns ``(r, jac_thunk)``
@@ -94,22 +113,31 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
     converged = False
     message = "maximum iterations reached"
     iterations = 0
-    jtj = None                      # normal matrix at p, once computed
 
-    for iterations in range(1, max_iterations + 1):
+    while True:
         jmat = _stack(thunk())
         grad = jmat.T @ r
         jtj = jmat.T @ jmat
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0
 
+        # the undamped step's predicted decrease of the cost r.r,
+        # -(2 grad.step + step.jtj.step), is -grad.step; when the linear
+        # model cannot lower the cost by cost_tol of itself, p is the
+        # optimum.  The check costs no residual evaluation and no iteration.
+        step = _solve(jtj, grad)
+        if step is not None and -(grad @ step) <= cost_tol * cost:
+            converged, message = True, "predicted decrease below tolerance"
+            break
+        if iterations == max_iterations:
+            break
+        iterations += 1
+
         accepted = False
         while lam <= _MAX_DAMPING:
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
+            if lam > 0.0:
+                step = _solve(jtj + lam * np.diag(diag), grad)
+            if step is not None:
                 p_try = p + step
                 r_try, cost_try, thunk_try = cost_of(p_try)
                 if np.isfinite(cost_try) and cost_try <= cost:
@@ -123,7 +151,7 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
 
         prev_cost = cost
         p, r, cost, thunk = p_try, r_try, cost_try, thunk_try
-        jtj = None
+        jtj = None                  # not yet formed at the new p
         history.append(cost)
         lam = 0.0 if lam < 1e-12 else lam / 10.0
 

@@ -128,8 +128,10 @@ def noise_from(params: dict, seed: int) -> NoiseSpec | None:
         raise ConfigError(f"noise.sigma = {sigma:g} has no effect without noise.kind; "
                           f"set it to one of {_NOISE_KINDS[1:]}")
     kind = str(params.get("noise.kind", "none"))
-    if kind == "none" or sigma == 0.0:
+    if kind == "none":
         return None
+    if sigma == 0.0:
+        raise ConfigError(f"noise.kind = {kind} has no effect without a non-zero noise.sigma")
     return NoiseSpec(kind, sigma, seed=seed)
 
 

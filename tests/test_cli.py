@@ -189,8 +189,11 @@ class TestExitCodes:
         ["respond", "--preset", "strong_coupling_D", "--set", "drive.sideband=green"],
         ["synth", "--model", "pumped", "--preset", "strong_coupling_A",
          "--set", "noise.sigma=0.002", "--seed", "3"],
+        ["synth", "--model", "bare", "--preset", "hf_fit",
+         "--set", "noise.kind=additive-complex-gaussian", "--seed", "3"],
     ], ids=["non-numeric", "nan-gamma0", "nan-kappa_eff", "inf-omega0",
-            "negative-points", "negative-seed", "unknown-sideband", "sigma-without-kind"])
+            "negative-points", "negative-seed", "unknown-sideband", "sigma-without-kind",
+            "kind-without-sigma"])
     def test_bad_value_is_config_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2

@@ -10,7 +10,7 @@ from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
 from photonpressure.squid import SquidSpec, squid_frequency
-from photonpressure.synth import make_rng
+from photonpressure.synth import NoiseSpec, make_rng, synth_s11
 from photonpressure.traces import ComplexTrace, SpectrumTrace
 
 TWO_PI = 2 * math.pi
@@ -34,6 +34,16 @@ def make_bare_trace(par, n=2001, halfwidths=4.0, theta=0.0, background=None,
         rng = make_rng(seed, 0)
         vals = vals + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return ComplexTrace(freq, vals)
+
+
+def criterion_6_trace(par, seed):
+    """Noisy trace of acceptance criterion 6: 1201 points over 8 linewidths,
+    rotation 0.1 and a linear background."""
+    kappa = par["kappa_i"] + par["kappa_e"]
+    f0, span = par["omega0"] / TWO_PI, 8 * kappa / TWO_PI
+    freq = np.linspace(f0 - span / 2, f0 + span / 2, 1201)
+    return make_bare_trace(par, n=1201, theta=0.1, background=linear_background(freq),
+                           sigma=0.01, seed=seed)
 
 
 def linear_background(freq_hz):
@@ -223,6 +233,36 @@ class TestFitResonanceBare:
         assert fit.iterations > 1
         assert len(calls) == fit.evaluations
 
+    @pytest.mark.parametrize("par", [HF_SET, LF_SET], ids=["hf", "lf"])
+    def test_no_rejected_tries_on_criterion_6_traces(self, monkeypatch, par):
+        # the fit stops on the predicted decrease before it tries a step
+        # whose decrease is lost in rounding: one residual call per iteration
+        # and one at the seed, and a Jacobian at each of those points
+        from photonpressure import fitting
+
+        thunk_calls = []
+        original = fitting.least_squares
+
+        def counted(residual, x0, **kwargs):
+            def counted_residual(u):
+                r, thunk = residual(u)
+
+                def counted_thunk():
+                    thunk_calls.append(None)
+                    return thunk()
+
+                return r, counted_thunk
+
+            return original(counted_residual, x0, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", counted)
+        for seed in range(20):
+            thunk_calls.clear()
+            fit = fit_resonance(criterion_6_trace(par, seed))
+            assert fit.converged, seed
+            assert fit.evaluations == fit.iterations + 1, seed
+            assert len(thunk_calls) == fit.iterations + 1, seed
+
     def test_uncertainty_scales_with_trace_length(self):
         sizes = (128, 512, 2048)
         sigmas = []
@@ -359,6 +399,24 @@ class TestFitResonancePumped:
         fit = fit_resonance(trace, model="pumped", pumped=fixed)
         assert fit.iterations > 1
         assert len(calls) == fit.evaluations
+
+    @pytest.mark.parametrize("label", ["A", "B", "C", "D"])
+    def test_unseeded_fit_finds_g_or_is_not_converged(self, presets, label):
+        # without a g seed, the center is seeded between the two hybrid-mode
+        # dips; a fit that converged must hold the true g within 5 of its sigma
+        scene = presets[f"strong_coupling_{label}"]
+        om0 = scene["hf.omega0"]
+        freq = om0 / TWO_PI + np.linspace(-2e6, 2e6, 2001)
+        bg = BackgroundModel(0.8, 1e-8, 0.3, 2e-8, reference_frequency=om0)
+        fixed = {"kappa_e": scene["hf.kappa_e"], "gamma0": scene["lf.gamma0"],
+                 "detuning": scene["drive.detuning"]}
+        for seed in range(100):
+            trace = synth_s11("pumped", scene, freq, background=bg, noise=NoiseSpec(
+                "additive-complex-gaussian", 0.005, seed=seed))
+            fit = fit_resonance(trace, model="pumped", pumped=fixed)
+            if fit.converged:
+                err = abs(fit.value("g") - scene["drive.g"])
+                assert err <= 5.0 * fit.as_dict()["g_err"], (seed, fit.value("g"))
 
     @pytest.mark.parametrize("key, value, message", [
         ("kappa_e", -1.0, "decay rates"),

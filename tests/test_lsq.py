@@ -71,6 +71,23 @@ class TestNonlinear:
         assert np.all(np.diff(costs) <= 0)
         assert result.converged
 
+    def test_predicted_decrease_stop(self):
+        # a linear residual: the first step lands on the optimum, where the
+        # undamped step predicts no decrease, so the fit stops before trying
+        # it; started at the optimum it takes no step at all
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(20, 3))
+        b = a @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(20)
+        first = least_squares(linear(a, b), np.zeros(3))
+        assert first.converged
+        assert first.message == "predicted decrease below tolerance"
+        assert (first.iterations, first.evaluations, len(first.cost_history)) == (1, 2, 2)
+        again = least_squares(linear(a, b), first.params)
+        assert again.converged and again.message == first.message
+        assert (again.iterations, again.evaluations, len(again.cost_history)) == (0, 1, 1)
+        np.testing.assert_array_equal(again.params, first.params)
+        np.testing.assert_allclose(again.uncertainties, first.uncertainties, rtol=1e-12)
+
     def test_max_iterations_returns_diagnostics(self):
         # r = p^2 only halves the parameter per Gauss-Newton step, so three
         # iterations cannot reach the tolerances

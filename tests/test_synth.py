@@ -222,3 +222,12 @@ class TestNoiseSpecValidation:
             noise_from({"noise.sigma": 0.002}, seed=3)
         assert noise_from({"noise.sigma": 0.0}, seed=3) is None
         assert noise_from({"noise.kind": "none", "noise.sigma": 0.002}, seed=3) is None
+
+    @pytest.mark.parametrize("sigma", [None, 0.0])
+    def test_kind_without_sigma_is_config_error(self, sigma):
+        # a kind with no sigma would be read and then have no effect
+        params = {"noise.kind": "additive-complex-gaussian"}
+        if sigma is not None:
+            params["noise.sigma"] = sigma
+        with pytest.raises(ConfigError, match="noise.sigma"):
+            noise_from(params, seed=3)
