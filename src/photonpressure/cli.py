@@ -264,19 +264,17 @@ def cmd_fit(args) -> int:
         total_l = (need(cfg, "squid.total_inductance")
                    if "squid.total_inductance" in cfg else None)
         fit = fit_flux_arch(data[:, 0], TWO_PI * data[:, 1], total_inductance=total_l)
-    elif args.model == "backaction":
+    else:  # backaction; argparse restricts --model to these five
         _, data = read_points(args.infile, n_columns=3)
         fit = fit_backaction(TWO_PI * data[:, 0], TWO_PI * data[:, 1],
                              TWO_PI * data[:, 2])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown fit model {args.model!r}")
 
     if not fit.converged:
         raise ConvergenceError(
             f"fit did not converge after {fit.iterations} iterations: {fit.message}")
     report = fit.as_dict()
-    if fit.background is not None:
-        report.update(background_params(fit.background))
+    if "background" in fit.extras:
+        report.update(background_params(fit.extras["background"]))
     write_params(args.out, report)  # checks the report before writing either file
     if args.out and "corrected_trace" in fit.extras:
         write_complex_trace(str(args.out) + ".trace", fit.extras["corrected_trace"])

@@ -11,16 +11,17 @@ a complex reflection trace on top of a slowly varying instrumental background:
    center is seeded at the midpoint of the outermost points at or below half
    depth of the background-divided |S11|, between its two hybrid-mode dips,
    rather than at the deeper of them;
-2. fit resonance and background jointly from that seed to a 1e-11 step /
-   1e-12 cost tolerance, evaluating the model once per residual and
-   building the Jacobian from that evaluation straight into the engine's
-   stacked real matrix.  As this is the only nonlinear fit, the result's
-   iterations, evaluations, cost history and message describe it whole.
+2. fit resonance and background jointly from that seed, evaluating the
+   model once per residual and building the Jacobian from that evaluation
+   straight into the engine's stacked real matrix.  As this is the only
+   nonlinear fit, the result's iterations, evaluations and message describe
+   it whole.
 
-The returned result carries the fitted background and a background-corrected
-trace (divided by the background, rotation removed).  The other entry points
-fit Lorentzian spectra, backaction curves and the flux arch (evaluating the arch
-model of :mod:`squid`); like this one, each hands the engine its analytic Jacobian.
+The returned result's extras carry the fitted background
+(``extras["background"]``) and a background-corrected trace (divided by the
+background, rotation removed).  The other entry points fit Lorentzian
+spectra, backaction curves and the flux arch (evaluating the arch model of
+:mod:`squid`); like this one, each hands the engine its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ def _initial_dip(omega, mag):
     center = omega[i0]
     if depth <= 0:
         return center, (omega[-1] - omega[0]) / 10.0
-    width = _half_width(omega, -mag, i0, -(mag[i0] + 0.5 * depth))
-    if width <= 0:
-        width = (omega[-1] - omega[0]) / 100.0
-    return center, width
+    return center, _half_width(omega, -mag, i0, -(mag[i0] + 0.5 * depth))
 
 
 def _dip_midpoint(omega, mag, fallback):
@@ -183,8 +181,8 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     ``model`` selects the resonance term: "bare" fits (omega0, kappa_i,
     kappa_e, theta); "pumped" fits (omega0, kappa_i, g, lf_frequency, theta)
     with fixed ``pumped = {"kappa_e": ..., "gamma0": ..., "detuning": ...}``.
-    The result's extras hold the corrected trace and, for convenience, the
-    total linewidth.
+    The result's extras hold the fitted background, the corrected trace and,
+    for convenience, the total linewidth.
     """
     _require_points(len(trace))
     if model not in ("bare", "pumped"):
@@ -334,30 +332,25 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
         # the Jacobian, and only at accepted points
         return res * amp * rot - values, jacobian
 
-    fit = least_squares(residual, (phys0 - ref) / scale, names=names, step_tol=1e-11)
+    fit = least_squares(residual, (phys0 - ref) / scale, names=names)
     fit.params = ref + scale * fit.params
     fit.uncertainties = scale * fit.uncertainties
 
+    # rates enter the model through |.| and angles through exp(i.); report
+    # them positive and wrapped, and the background from the same values
     pars = fit.params
-    background = BackgroundModel(
-        amplitude_offset=float(pars[n_res]),
-        amplitude_slope=float(pars[n_res + 1]),
-        phase_offset=float(_wrap_angle(pars[n_res + 2])),
-        phase_slope=float(pars[n_res + 3]),
-        circle_rotation=float(_wrap_angle(pars[res_names.index("theta")])),
-        reference_frequency=w_ref,
-    )
-    # rates enter the model through |.|; report them positive
-    for name in ("kappa_i", "kappa_e", "g"):
-        if name in names:
-            i = names.index(name)
+    for i, name in enumerate(names):
+        if name in ("kappa_i", "kappa_e", "g"):
             pars[i] = abs(pars[i])
-    theta_i = names.index("theta")
-    pars[theta_i] = _wrap_angle(pars[theta_i])
+        elif name in ("theta", "phase_offset"):
+            pars[i] = _wrap_angle(pars[i])
+    background = BackgroundModel(*(float(v) for v in pars[n_res:]),
+                                 circle_rotation=float(pars[names.index("theta")]),
+                                 reference_frequency=w_ref)
 
     final = values / background.evaluate(omega)
     final = 1.0 - (1.0 - final) * np.exp(-1j * background.circle_rotation)
-    fit.background = background
+    fit.extras["background"] = background
     fit.extras["corrected_trace"] = ComplexTrace(trace.frequency_hz, final)
     if model == "bare":
         fit.extras["kappa"] = float(pars[1] + pars[2])
@@ -381,10 +374,6 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
         raise DomainError("no peak visible above the median floor")
     center0 = float(f[i0])
     fwhm0 = float(_half_width(f, y, i0, offset0 + 0.5 * amp0))
-    if fwhm0 <= 0:
-        # second-moment fallback
-        weights = np.clip(y - offset0, 0.0, None)
-        fwhm0 = 2.0 * float(np.sqrt(np.sum(weights * (f - center0) ** 2) / np.sum(weights)))
 
     def residual(pars):
         off, amp, center, fwhm = pars
@@ -397,8 +386,7 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
             amp * (fwhm / 2.0) * dev ** 2 / den ** 2])
 
     fit = least_squares(residual, np.array([offset0, amp0, center0, fwhm0]),
-                        names=("offset", "amplitude", "center", "fwhm"),
-                        step_tol=1e-12, cost_tol=1e-15)
+                        names=("offset", "amplitude", "center", "fwhm"))
     fit.params[3] = abs(fit.params[3])
     if fit.params[3] <= 0:
         raise DomainError("degenerate peak: fitted width is not positive")

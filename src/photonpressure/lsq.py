@@ -6,21 +6,21 @@ complex residual, stacked as real rows above imaginary rows, and a thunk
 for its analytic derivative at ``p``, complex (m, n) or already stacked
 real (2m, n), used without a copy.  The thunk is called once at the seed
 and once at each accepted point, never at a rejected try, so it may reuse
-its evaluation's intermediates; the last call is at the returned point,
-whose normal matrix gives the uncertainties.  No step raises the cost.
+its evaluation's intermediates.  No step raises the cost.
 
-Each iteration starts by solving for the undamped step at the current
-point.  When that step predicts a cost decrease of at most ``cost_tol`` of
-the cost (the predicted-reduction test of MINPACK), the point is returned
-as converged before any further residual evaluation, and the normal matrix
-just formed gives the uncertainties; otherwise the same step is the first,
-undamped try.  The fit also converges when an accepted step's relative size
-drops below ``step_tol`` or its relative cost decrease below ``cost_tol``;
-then the thunk at the returned point is called once more.  A singular
-normal matrix there (with more residuals than parameters) makes the result
-non-converged; out of iterations the engine returns a non-converged result
-instead of raising.  So ``evaluations`` is 1 + iterations + rejected tries,
-and ``cost_history`` holds iterations + 1 costs.
+Every fit runs under one policy with no options.  Each iteration starts by
+forming the Jacobian at the current point, and every stop but one is
+decided right there, so the normal matrix at the returned point, which
+gives the uncertainties, is always the one just formed.  The fit converges
+when the last accepted step was below ``_STEP_TOL`` of the point's size, or
+when the undamped step predicts a cost decrease of at most ``_COST_TOL`` of
+the cost (MINPACK's predicted-reduction test), before any further residual
+evaluation; otherwise that step is the first, undamped try.  It ends
+non-converged after ``_MAX_ITERATIONS``, when the damping of the tries
+exceeds ``_MAX_DAMPING`` (the one stop inside an iteration, still at the
+same point), or with a singular normal matrix at the returned point (more
+residuals than parameters); the engine never raises.  So ``evaluations``
+is 1 + iterations + rejected tries.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ import numpy as np
 
 __all__ = ["FitResult", "least_squares"]
 
+_MAX_ITERATIONS = 200
+_STEP_TOL = 1e-11
+_COST_TOL = 1e-12
 _MAX_DAMPING = 1e14
 
 
@@ -41,7 +44,8 @@ class FitResult:
     ``params`` follows the order of the initial guess; ``names`` (set by the
     model-level wrappers) allows lookup through :meth:`value` and keys
     :meth:`as_dict`, uncertainties as ``<name>_err``.  ``extras`` carries
-    model-specific products such as derived parameters or a corrected trace.
+    model-specific products such as derived parameters, a fitted
+    background (``extras["background"]``) or a corrected trace.
     """
 
     params: np.ndarray
@@ -51,9 +55,7 @@ class FitResult:
     converged: bool
     message: str
     evaluations: int = 0            # residual calls; thunk calls not counted
-    cost_history: list = field(default_factory=list)
     names: tuple = ()
-    background: object = None
     extras: dict = field(default_factory=dict)
 
     def value(self, name: str) -> float:
@@ -91,8 +93,7 @@ def _solve(a, grad):
     return step if np.all(np.isfinite(step)) else None
 
 
-def least_squares(residual, x0, *, names=(), max_iterations=200,
-                  step_tol=1e-9, cost_tol=1e-12) -> FitResult:
+def least_squares(residual, x0, *, names=()) -> FitResult:
     """Minimize sum(|r|^2) from ``x0``; ``residual(p)`` returns ``(r, jac_thunk)``
     (see the module docstring).  Never raises on non-convergence."""
     p = np.asarray(x0, dtype=float).copy()
@@ -108,31 +109,34 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
 
     r, cost, thunk = cost_of(p)
     m = r.size
-    history = [cost]
     lam = 0.0
     converged = False
     message = "maximum iterations reached"
     iterations = 0
+    small_step = False
 
     while True:
         jmat = _stack(thunk())
-        grad = jmat.T @ r
         jtj = jmat.T @ jmat
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
+        if small_step:
+            converged, message = True, "parameter step below tolerance"
+            break
 
         # the undamped step's predicted decrease of the cost r.r,
         # -(2 grad.step + step.jtj.step), is -grad.step; when the linear
-        # model cannot lower the cost by cost_tol of itself, p is the
+        # model cannot lower the cost by _COST_TOL of itself, p is the
         # optimum.  The check costs no residual evaluation and no iteration.
+        grad = jmat.T @ r
         step = _solve(jtj, grad)
-        if step is not None and -(grad @ step) <= cost_tol * cost:
+        if step is not None and -(grad @ step) <= _COST_TOL * cost:
             converged, message = True, "predicted decrease below tolerance"
             break
-        if iterations == max_iterations:
+        if iterations == _MAX_ITERATIONS:
             break
         iterations += 1
 
+        diag = np.diag(jtj).copy()
+        diag[diag <= 0] = 1.0
         accepted = False
         while lam <= _MAX_DAMPING:
             if lam > 0.0:
@@ -149,28 +153,14 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
             message = "damping exhausted without an acceptable step"
             break
 
-        prev_cost = cost
         p, r, cost, thunk = p_try, r_try, cost_try, thunk_try
-        jtj = None                  # not yet formed at the new p
-        history.append(cost)
         lam = 0.0 if lam < 1e-12 else lam / 10.0
-
-        rel_step = np.linalg.norm(step) / (np.linalg.norm(p) + step_tol)
-        rel_decrease = (prev_cost - cost) / max(prev_cost, 1e-300)
-        if rel_step < step_tol:
-            converged, message = True, "parameter step below tolerance"
-            break
-        if rel_decrease < cost_tol:
-            converged, message = True, "cost decrease below tolerance"
-            break
+        small_step = np.linalg.norm(step) / (np.linalg.norm(p) + _STEP_TOL) < _STEP_TOL
 
     # standard uncertainties from the normal matrix at the returned point,
-    # scaled by the residual variance (approximate, as usual); an accepted
-    # last step leaves it to be computed.  A singular one leaves some
-    # parameter unconstrained, so the point is not a converged fit.
-    if jtj is None:
-        jmat = _stack(thunk())
-        jtj = jmat.T @ jmat
+    # scaled by the residual variance (approximate, as usual).  A singular
+    # one leaves some parameter unconstrained, so the point is not a
+    # converged fit.
     uncertainties = np.full(n, np.nan)
     if m > n:
         s2 = cost / (m - n)
@@ -189,6 +179,5 @@ def least_squares(residual, x0, *, names=(), max_iterations=200,
         converged=converged,
         message=message,
         evaluations=evaluations,
-        cost_history=history,
         names=tuple(names),
     )

@@ -356,7 +356,7 @@ def test_criterion_6_fitting_robustness():
     vals = s11_bare(TWO_PI * freq, par["omega0"], par["kappa_i"], par["kappa_e"]) \
         * bg.evaluate(TWO_PI * freq)
     corrected = fit_resonance(ComplexTrace(freq, vals)).extras["corrected_trace"]
-    second = fit_resonance(corrected).background
+    second = fit_resonance(corrected).extras["background"]
     idem = max(abs(second.amplitude_offset - 1.0),
                abs(second.amplitude_slope) * span_w,
                abs(second.phase_offset),

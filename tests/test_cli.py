@@ -13,9 +13,9 @@ import pytest
 
 import photonpressure
 from photonpressure.cli import main
-from photonpressure.fitting import fit_resonance
+from photonpressure.fitting import fit_lorentzian, fit_resonance
 from photonpressure.squid import SquidSpec, squid_frequency
-from photonpressure.traces import read_complex_trace, read_points
+from photonpressure.traces import read_complex_trace, read_points, read_spectrum_trace
 
 TWO_PI = 2 * math.pi
 LF = TWO_PI * 391e6  # lf.omega0 of the strong_coupling and ppia presets
@@ -429,6 +429,22 @@ class TestFitRoundTrips:
         assert report["g"] == pytest.approx(TWO_PI * 111.8e3, rel=1e-3)
         assert report["kappa_i"] == pytest.approx(TWO_PI * 222e3, rel=1e-3)
         assert report["lf_frequency"] == pytest.approx(TWO_PI * 391e6, rel=1e-6)
+
+    def test_lorentzian_fit_of_thermal_peak(self, tmp_path, presets):
+        # the blue-pumped thermal peak of ppia sits at 5.844 GHz with the
+        # effective width Gamma0 (1 - C); the report is the fit's own dict
+        spectrum, report_path = tmp_path / "p.dat", tmp_path / "r.json"
+        assert run("psd", "--preset", "ppia", "--set", "thermal.n_th=4",
+                   "--out", str(spectrum)) == 0
+        assert run("fit", str(spectrum), "--model", "lorentzian",
+                   "--out", str(report_path)) == 0
+        report = json.loads(report_path.read_text())
+        assert report["converged"] is True
+        assert report["center"] == pytest.approx(5.844e9, abs=1.0)
+        cfg = presets["ppia"]
+        width = cfg["lf.gamma0"] * (1.0 - cfg["drive.cooperativity"]) / TWO_PI
+        assert report["fwhm"] == pytest.approx(width, rel=0.1)
+        assert report == fit_lorentzian(read_spectrum_trace(spectrum)).as_dict()
 
     def test_flux_arch_fit_from_point_file(self, tmp_path):
         spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)

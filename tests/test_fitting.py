@@ -85,6 +85,30 @@ def engine_calls(monkeypatch, fit, *args, **kwargs):
     return calls
 
 
+def jacobian_costs(monkeypatch):
+    """Make every engine call of :mod:`fitting` append to the returned list
+    the cost at each point whose Jacobian the engine asks for."""
+    from photonpressure import fitting
+
+    costs = []
+    original = fitting.least_squares
+
+    def spy(residual, x0, **engine_kwargs):
+        def spied(u):
+            r, thunk = residual(u)
+
+            def spied_thunk():
+                costs.append(float(np.sum(np.abs(r) ** 2)))
+                return thunk()
+
+            return r, spied_thunk
+
+        return original(spied, x0, **engine_kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", spy)
+    return costs
+
+
 def check_jacobian(residual, u, steps):
     """The Jacobian that ``residual(u)`` hands the engine matches central
     differences with ``steps`` at 1e-6, column by column."""
@@ -145,14 +169,14 @@ class TestFitResonanceBare:
         assert abs(fit.value("kappa_i") - par["kappa_i"]) / par["kappa_i"] < 1e-3
         assert abs(fit.value("kappa_e") - par["kappa_e"]) / par["kappa_e"] < 1e-3
         assert fit.value("theta") == pytest.approx(0.15, abs=1e-6)
-        assert fit.background.amplitude_offset == pytest.approx(0.93, abs=1e-6)
+        assert fit.extras["background"].amplitude_offset == pytest.approx(0.93, abs=1e-6)
 
     def test_identity_background_exact_recovery(self):
         trace = make_bare_trace(HF_SET)
         fit = fit_resonance(trace)
         for name in ("omega0", "kappa_i", "kappa_e"):
             assert abs(fit.value(name) - HF_SET[name]) / HF_SET[name] < 1e-10
-        bg, span = fit.background, TWO_PI * np.ptp(trace.frequency_hz)
+        bg, span = fit.extras["background"], TWO_PI * np.ptp(trace.frequency_hz)
         assert abs(bg.amplitude_offset - 1.0) < 1e-8
         assert abs(bg.amplitude_slope) * span < 1e-8
         assert abs(bg.phase_offset) < 1e-8
@@ -164,7 +188,7 @@ class TestFitResonanceBare:
         trace = make_bare_trace(HF_SET, theta=0.1, background=linear_background(freq))
         corrected = fit_resonance(trace).extras["corrected_trace"]
         second = fit_resonance(corrected)
-        bg = second.background
+        bg = second.extras["background"]
         span = TWO_PI * np.ptp(corrected.frequency_hz)
         assert abs(bg.amplitude_offset - 1.0) < 1e-6
         assert abs(bg.amplitude_slope) * span < 1e-6
@@ -203,15 +227,18 @@ class TestFitResonanceBare:
                 diff = fits[1].value(name) - fits[0].value(name)
                 assert abs(diff) / kappa < 1e-8, (seed, name)
 
-    def test_diagnostics(self):
+    def test_diagnostics(self, monkeypatch):
         # the one engine call's own counts describe the whole fit
+        costs = jacobian_costs(monkeypatch)
         trace = make_bare_trace(HF_SET, n=1201, theta=0.05, sigma=0.01, seed=3)
         fit = fit_resonance(trace)
         assert fit.converged and fit.message
-        # one evaluation at the start and at least one per iteration
+        # one evaluation at the start and at least one per iteration, and a
+        # Jacobian at the seed and at each accepted point, the returned one last
         assert 1 <= fit.iterations < fit.evaluations
-        assert len(fit.cost_history) == fit.iterations + 1
-        assert fit.cost_history[-1] == pytest.approx(fit.residual_norm ** 2, rel=1e-12)
+        assert len(costs) == fit.iterations + 1
+        assert np.all(np.diff(costs) <= 0)
+        assert costs[-1] == pytest.approx(fit.residual_norm ** 2, rel=1e-12)
         params = ("omega0", "kappa_i", "kappa_e", "theta", "amplitude_offset",
                   "amplitude_slope", "phase_offset", "phase_slope")
         assert set(fit.as_dict()) == {*params, *(f"{n}_err" for n in params),
@@ -238,30 +265,28 @@ class TestFitResonanceBare:
         # the fit stops on the predicted decrease before it tries a step
         # whose decrease is lost in rounding: one residual call per iteration
         # and one at the seed, and a Jacobian at each of those points
-        from photonpressure import fitting
-
-        thunk_calls = []
-        original = fitting.least_squares
-
-        def counted(residual, x0, **kwargs):
-            def counted_residual(u):
-                r, thunk = residual(u)
-
-                def counted_thunk():
-                    thunk_calls.append(None)
-                    return thunk()
-
-                return r, counted_thunk
-
-            return original(counted_residual, x0, **kwargs)
-
-        monkeypatch.setattr(fitting, "least_squares", counted)
+        costs = jacobian_costs(monkeypatch)
         for seed in range(20):
-            thunk_calls.clear()
+            costs.clear()
             fit = fit_resonance(criterion_6_trace(par, seed))
             assert fit.converged, seed
             assert fit.evaluations == fit.iterations + 1, seed
-            assert len(thunk_calls) == fit.iterations + 1, seed
+            assert len(costs) == fit.iterations + 1, seed
+
+    def test_phase_offset_wrapped_like_background(self):
+        # a background phase just inside pi, turning by 3 rad over the span:
+        # the fitted phase_offset is reported in [-pi, pi) and equals the
+        # returned background's, whichever side of pi the fit ends on
+        kappa = HF_SET["kappa_i"] + HF_SET["kappa_e"]
+        span = 8.0 * kappa  # make_bare_trace's default 4 halfwidths, in rad/s
+        bg = BackgroundModel(1.0, 0.0, math.pi - 1e-3, 3.0 / span,
+                             reference_frequency=HF_SET["omega0"])
+        for seed in range(40):
+            fit = fit_resonance(make_bare_trace(HF_SET, n=1201, background=bg,
+                                                sigma=0.01, seed=seed))
+            phase = fit.value("phase_offset")
+            assert -math.pi <= phase < math.pi, (seed, phase)
+            assert phase == fit.extras["background"].phase_offset, seed
 
     def test_uncertainty_scales_with_trace_length(self):
         sizes = (128, 512, 2048)

@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
 
+from photonpressure import lsq
 from photonpressure.lsq import least_squares
 
 
 def linear(a, b):
     """Residual a @ p - b with its constant Jacobian a."""
     return lambda p: (a @ p - b, lambda: a)
+
+
+def cost_spy(residual):
+    """``residual`` with the cost at each point whose Jacobian the engine
+    asks for appended to the returned list, in call order."""
+    costs = []
+
+    def spied(p):
+        r, thunk = residual(p)
+        cost = float(np.sum(np.abs(r) ** 2))
+
+        def spied_thunk():
+            costs.append(cost)
+            return thunk()
+
+        return r, spied_thunk
+
+    return spied, costs
 
 
 def rosenbrock(p):
@@ -57,7 +76,9 @@ class TestNonlinear:
         assert result.converged
         np.testing.assert_allclose(result.params, [2.0, 3.0], rtol=1e-10)
 
-    def test_monotone_cost_history(self):
+    def test_monotone_cost_at_jacobian_points(self):
+        # the Jacobian is asked for at the seed and at each accepted point:
+        # iterations + 1 points whose cost never rises, the returned one last
         rng = np.random.default_rng(1)
         x = np.linspace(0, 1, 50)
         data = np.exp(-3.0 * x) + 0.01 * rng.standard_normal(50)
@@ -66,10 +87,12 @@ class TestNonlinear:
             e = np.exp(-p[0] * x)
             return e * p[1] - data, lambda: np.column_stack([-x * e * p[1], e])
 
-        result = least_squares(residual, np.array([0.5, 2.0]))
-        costs = np.array(result.cost_history)
-        assert np.all(np.diff(costs) <= 0)
+        spied, costs = cost_spy(residual)
+        result = least_squares(spied, np.array([0.5, 2.0]))
         assert result.converged
+        assert len(costs) == result.iterations + 1
+        assert np.all(np.diff(costs) <= 0)
+        assert costs[-1] == pytest.approx(result.residual_norm ** 2, rel=1e-12)
 
     def test_predicted_decrease_stop(self):
         # a linear residual: the first step lands on the optimum, where the
@@ -78,22 +101,48 @@ class TestNonlinear:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(20, 3))
         b = a @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(20)
-        first = least_squares(linear(a, b), np.zeros(3))
+        spied, costs = cost_spy(linear(a, b))
+        first = least_squares(spied, np.zeros(3))
         assert first.converged
         assert first.message == "predicted decrease below tolerance"
-        assert (first.iterations, first.evaluations, len(first.cost_history)) == (1, 2, 2)
-        again = least_squares(linear(a, b), first.params)
+        assert (first.iterations, first.evaluations, len(costs)) == (1, 2, 2)
+        spied, costs = cost_spy(linear(a, b))
+        again = least_squares(spied, first.params)
         assert again.converged and again.message == first.message
-        assert (again.iterations, again.evaluations, len(again.cost_history)) == (0, 1, 1)
+        assert (again.iterations, again.evaluations, len(costs)) == (0, 1, 1)
         np.testing.assert_array_equal(again.params, first.params)
         np.testing.assert_allclose(again.uncertainties, first.uncertainties, rtol=1e-12)
 
-    def test_max_iterations_returns_diagnostics(self):
+    def test_step_stop_at_a_zero_residual(self):
+        # at a zero-residual optimum the undamped step always predicts a
+        # decrease of the whole cost, so the fit stops on its step size; the
+        # pass that stops forms the Jacobian at the returned point first
+        points = []
+
+        def residual(p):
+            e = np.exp(p[0])
+
+            def thunk():
+                points.append(p.copy())
+                return np.array([[e], [2.0 * e]])
+
+            return np.array([e - 3.0, 2.0 * (e - 3.0)]), thunk
+
+        result = least_squares(residual, np.array([3.0]))
+        assert result.converged
+        assert result.message == "parameter step below tolerance"
+        assert len(points) == result.iterations + 1
+        np.testing.assert_array_equal(points[-1], result.params)
+        assert result.params[0] == pytest.approx(np.log(3.0), rel=1e-14)
+        assert np.all(np.isfinite(result.uncertainties))
+
+    def test_max_iterations_returns_diagnostics(self, monkeypatch):
         # r = p^2 only halves the parameter per Gauss-Newton step, so three
         # iterations cannot reach the tolerances
+        monkeypatch.setattr(lsq, "_MAX_ITERATIONS", 3)
         result = least_squares(lambda p: (np.array([p[0] ** 2]),
                                           lambda: np.array([[2.0 * p[0]]])),
-                               np.array([8.0]), max_iterations=3)
+                               np.array([8.0]))
         assert not result.converged
         assert result.iterations == 3
         assert "iteration" in result.message or "damping" in result.message
@@ -171,6 +220,7 @@ class TestAnalyticJacobian:
         for i, k in thunks:
             assert events[i - 1] == ("r", calls[k])
         costs = [float(rosenbrock(calls[k]) @ rosenbrock(calls[k])) for _, k in thunks]
-        assert costs == result.cost_history
+        assert np.all(np.diff(costs) <= 0)
+        assert costs[-1] == pytest.approx(result.residual_norm ** 2, rel=1e-12)
         assert np.array_equal(calls[thunks[0][1]], [-1.2, 1.0])
         assert np.array_equal(calls[thunks[-1][1]], result.params)
