@@ -11,16 +11,29 @@ Subpackage map:
 - :mod:`photonpressure.synth` - synthetic traces with background and noise
 - :mod:`photonpressure.presets` - device parameter sets
 - :mod:`photonpressure.cli` - command-line front end
+
+The submodules and ``experiment_presets`` load on first attribute access
+(PEP 562), so ``import photonpressure`` loads no numpy, and each command
+loads only the modules it runs.
 """
 
-from . import (circuit, constants, dynamics, errors, fitting, lsq, noise,
-               presets, squid, synth, traces)
-from .presets import experiment_presets
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "circuit", "constants", "dynamics", "errors", "fitting", "lsq",
-    "noise", "presets", "squid", "synth", "traces",
-    "experiment_presets", "__version__",
-]
+_SUBMODULES = ("circuit", "constants", "dynamics", "errors", "fitting", "lsq",
+               "noise", "presets", "squid", "synth", "traces")
+
+__all__ = [*_SUBMODULES, "experiment_presets", "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # the import statement's own path, unlike importlib.import_module's,
+        # is what ``python -X importtime`` reports
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
+    if name == "experiment_presets":
+        from .presets import experiment_presets
+        return experiment_presets
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

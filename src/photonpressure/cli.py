@@ -16,7 +16,9 @@ Parameters come from --preset, then --params FILE (flat JSON), then repeated
 :mod:`synth` turns the flat set into model inputs.  Grids are given as
 START:STOP:POINTS in Hz.  Exit codes: 0 success, else the ``exit_code`` of
 the :mod:`errors` class raised (2 configuration, 3 parse, 4 domain, 5 fit);
-an output file that cannot be written is a configuration error.
+an output file that cannot be written is a configuration error.  ``params``
+and ``fit`` import their geometry and fit modules when they run, so the other
+commands never load them.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import sys
 
 import numpy as np
 
-from . import circuit, dynamics, squid
-from .constants import PHI_0, hbar
+from . import dynamics
+from .constants import hbar
 from .errors import ConfigError, ConvergenceError, DomainError, PhotonPressureError
-from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
 from .presets import need, preset as load_preset
 from .synth import (background_from, background_params, cavity_linewidth,
                     detection_from, noise_from, probed_resonance, pump_detuning,
@@ -123,6 +124,9 @@ def _probe_grid(args, cfg: dict, model: str = "pumped"):
 # --- commands ---------------------------------------------------------------
 
 def cmd_params(args) -> int:
+    from . import circuit, squid
+    from .constants import PHI_0
+
     cfg = build_config(args)
     report: dict = {}
 
@@ -246,6 +250,8 @@ def cmd_psd(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
+
     cfg = build_config(args)
     if args.model in ("bare", "pumped"):
         trace = read_complex_trace(args.infile)
@@ -314,7 +320,7 @@ def cmd_sweep(args) -> int:
 
     header = {"outer": key, "columns": "outer_value then |S11| in dB per probe point",
               "probe_hz": " ".join(format(f, ".17g") for f in probe)}
-    write_columns(args.out, [outer, *np.transpose(rows)], header,
+    write_columns(args.out, [outer, np.array(rows)], header,
                   [".17g"] + [".9g"] * probe.size)
     return EXIT_OK
 

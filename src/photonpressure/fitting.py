@@ -48,11 +48,21 @@ __all__ = [
 _MIN_POINTS = 16
 _MASK_HALFWIDTHS = 2.0         # resonance mask, in initial-guess linewidths
 _MIN_BASELINE_FRACTION = 0.25  # off-resonant share of the points the background needs
+_ARCH_NOISE_SIGMAS = 6.0      # a climb this many noise sigmas from the arch top is a new arch
 
 
 def _require_points(n, minimum=_MIN_POINTS):
     if n < minimum:
         raise DomainError(f"need at least {minimum} points for a fit, got {n}")
+
+
+def _median(x):
+    """Median of a finite 1-D array, bit for bit as :func:`numpy.median`
+    gives it: the mean of the middle one or two values, found with
+    :func:`numpy.partition`.  Unlike numpy.median, it does not load numpy.ma."""
+    half, odd = divmod(x.size, 2)
+    kth = half if odd else (half - 1, half)
+    return np.partition(x, kth)[half + odd - 1:half + 1].mean()
 
 
 def _half_width(x, y, i0, level):
@@ -72,7 +82,7 @@ def _dip_depth(mag):
     the outer tenths of the trace."""
     i0 = int(np.argmin(mag))
     edge = max(1, mag.size // 10)
-    baseline = float(np.median(np.concatenate([mag[:edge], mag[-edge:]])))
+    baseline = float(_median(np.concatenate([mag[:edge], mag[-edge:]])))
     return i0, baseline - mag[i0]
 
 
@@ -135,7 +145,7 @@ def _baseline_phase(omega, values, base_idx):
         if i != k:
             predicted = c0 + c1 * (omega[seg] - w_mid)
             phases[i] = phases[i] - 2.0 * np.pi * np.round(
-                np.median(phases[i] - predicted) / (2.0 * np.pi))
+                _median(phases[i] - predicted) / (2.0 * np.pi))
     return np.concatenate(phases)
 
 
@@ -367,7 +377,7 @@ def fit_lorentzian(trace: SpectrumTrace) -> FitResult:
     f = trace.frequency_hz
     y = trace.values
 
-    offset0 = float(np.median(y))
+    offset0 = float(_median(y))
     i0 = int(np.argmax(y))
     amp0 = float(y[i0] - offset0)
     if amp0 <= 0:
@@ -441,7 +451,10 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     inside a single arch.  When ``total_inductance`` is given the junction
     inductance and critical current of the fitted :class:`SquidSpec` are
     reported in the extras.  Points spanning more than one arch raise
-    :class:`DomainError`; reduce them to one period first.
+    :class:`DomainError`; reduce them to one period first.  They are judged
+    to do so when, walking away from the highest point, the frequency climbs
+    above the lowest point passed by more than 5% of its span and more than
+    six times the noise the second differences show.
     """
     phi = np.asarray(flux_bias, dtype=float)
     om = np.asarray(frequencies, dtype=float)
@@ -450,12 +463,17 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     if np.ptp(om) < 1e-9 * np.mean(om):
         raise DomainError("arch is flat: dilution and widening are not identifiable")
 
-    order = np.argsort(phi)
-    phi_s, om_s = phi[order], om[order]
+    # walking away from the top, the frequency of one arch only falls: a climb
+    # above the lowest point passed so far is a second arch, unless the noise
+    # explains it.  The noise is estimated from the second differences, which
+    # the smooth arch barely moves: for Gaussian noise of std sigma, their
+    # median magnitude is 0.6745 * sqrt(6) * sigma.
+    om_s = om[np.argsort(phi)]
     i_top = int(np.argmax(om_s))
-    tol = 0.05 * np.ptp(om_s)
-    left, right = om_s[:i_top + 1], om_s[i_top:]
-    if np.any(np.diff(left) < -tol) or np.any(np.diff(right) > tol):
+    climb = max(np.max(side - np.minimum.accumulate(side))
+                for side in (om_s[i_top::-1], om_s[i_top:]))
+    sigma = _median(np.abs(np.diff(om_s, 2))) / (0.6745 * math.sqrt(6.0))
+    if climb > max(0.05 * np.ptp(om_s), _ARCH_NOISE_SIGMAS * sigma):
         raise DomainError(
             "frequency rises again away from the arch top: points appear to "
             "span multiple arches; calibrate the flux axis to one period first")

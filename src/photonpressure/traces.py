@@ -97,55 +97,100 @@ def _read_text(path) -> str:
         raise TraceFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _is_number(field: str) -> bool:
+    """Whether :func:`numpy.loadtxt` reads ``field`` as a float: as ``float``
+    does, but in ASCII only and without '_' digit separators."""
+    if not field.isascii() or "_" in field:
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_error(lines, n_columns):
+    """The :class:`TraceFormatError`, with its line number, for the first row
+    with a field that is not a number, other than ``n_columns`` fields, or
+    another width than the row before it; None if every row is good."""
+    width = None
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if not all(_is_number(field) for field in fields):
+            return TraceFormatError(f"could not parse {raw.strip()!r}", line=lineno)
+        if n_columns is not None and len(fields) != n_columns:
+            return TraceFormatError(
+                f"expected {n_columns} columns, found {len(fields)}", line=lineno)
+        if width is not None and len(fields) != width:
+            return TraceFormatError("inconsistent column count", line=lineno)
+        width = len(fields)
+    return None
+
+
 def read_points(path, n_columns=None):
     """Read a whitespace-separated numeric table, skipping '#' comments.
 
-    Returns (header, array); ``header`` maps '# key: value' comment entries.
+    Returns (header, array); ``header`` maps the '# key: value' entries of
+    the lines that start with '#'.  The rows are parsed by
+    :func:`numpy.loadtxt`, so a '#' after the numbers of a row starts a
+    comment, and a field must be an ASCII number without '_' separators.
     Raises :class:`TraceFormatError` with the offending line number on any
-    parse failure.
+    parse failure; only then are the rows read again one by one, to find it.
     """
+    lines = _read_text(path).split("\n")
     header: dict[str, str] = {}
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+    for raw in (line for line in lines if "#" in line):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if ":" in body:
                 key, _, value = body.partition(":")
                 header[key.strip()] = value.strip()
-            continue
-        parts = line.split()
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise TraceFormatError(f"could not parse {line!r}", line=lineno)
-        if n_columns is not None and len(row) != n_columns:
-            raise TraceFormatError(
-                f"expected {n_columns} columns, found {len(row)}", line=lineno)
-        if rows and len(row) != len(rows[-1]):
-            raise TraceFormatError("inconsistent column count", line=lineno)
-        rows.append(row)
-    if not rows:
+    # loadtxt warns on a table without rows, so that never reaches it
+    if not any(line.split("#", 1)[0].strip() for line in lines):
         raise TraceFormatError(f"no data rows in {path}")
-    return header, np.asarray(rows, dtype=float)
+    try:
+        data = np.loadtxt(lines, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise _row_error(lines, n_columns) or TraceFormatError(str(exc)) from None
+    if n_columns is not None and data.shape[1] != n_columns:
+        raise _row_error(lines, n_columns)
+    return header, data
+
+
+_BLOCK_VALUES = 4096  # values formatted by one % call
+
+
+def _format_rows(table, fmt):
+    """The text of the rows of ``table``, each formatted with ``fmt``, a
+    block of whole rows per ``%`` call, so no row needs a list or tuple of
+    its own."""
+    width = table.shape[1]
+    values = table.ravel().tolist()
+    step = max(1, _BLOCK_VALUES // width) * width
+    for start in range(0, len(values), step):
+        block = values[start:start + step]
+        yield (fmt * (len(block) // width)) % tuple(block)
 
 
 def write_columns(path, columns, header, formats=None):
     """Write numeric columns as text rows, one ``%``-format spec per column.
 
-    ``formats`` defaults to ".17g" for every column.  To a file, ``header``
-    entries come first, in order, as '# key: value' lines; with no ``path``
-    the data rows alone go to standard output.  A NaN or infinite value is a
-    :class:`DomainError`, raised before anything is written.
+    ``columns`` are stacked side by side into one table, as
+    :func:`numpy.column_stack` does, so a 2-D entry adds one column per
+    column of its own.  ``formats`` defaults to ".17g" for every column.  To
+    a file, ``header`` entries come first, in order, as '# key: value' lines;
+    with no ``path`` the data rows alone go to standard output.  A NaN or
+    infinite value is a :class:`DomainError`, raised before anything is
+    written.
     """
-    arrays = [np.asarray(c, dtype=float) for c in columns]
-    if not all(np.isfinite(a).all() for a in arrays):
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    if not np.isfinite(table).all():
         raise DomainError("output values must be finite, found nan or inf")
-    cols = [a.tolist() for a in arrays]
-    fmt = " ".join("%" + spec for spec in formats or [".17g"] * len(cols)) + "\n"
-    rows = (fmt % values for values in zip(*cols))
+    fmt = " ".join("%" + spec for spec in formats or [".17g"] * table.shape[1]) + "\n"
+    rows = _format_rows(table, fmt)
     if not path:
         sys.stdout.writelines(rows)
         return

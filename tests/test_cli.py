@@ -83,6 +83,19 @@ class TestExitCodes:
         assert named.format(tmp=tmp_path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, code", [("1_000", 3), ("１", 3), ("nan", 4), ("inf", 4)],
+                             ids=["underscore", "fullwidth", "nan", "inf"])
+    def test_trace_field_verdicts(self, tmp_path, capsys, field, code):
+        # the trace reader parses with numpy.loadtxt: a field only float() takes
+        # is a parse error that names its line; a non-finite number parses, and
+        # the trace refuses it
+        trace = tmp_path / "t.dat"
+        trace.write_text(f"# columns: frequency_hz re im\n1 1 0\n2 {field} 0\n")
+        out = tmp_path / "r.json"
+        assert run("fit", str(trace), "--out", str(out)) == code
+        assert ("line 3:" in capsys.readouterr().err) == (code == 3)
+        assert not out.exists()
+
     def test_module_run_prints_one_line(self, tmp_path):
         # as a program, numpy's warnings about the NaN row would reach stderr too
         out = tmp_path / "ba.dat"
@@ -140,7 +153,7 @@ class TestExitCodes:
         out = tmp_path / "report.json"
         assert run("synth", "--model", "bare", "--preset", "hf_fit",
                    "--grid", "5.8425e9:5.8455e9:1201", "--out", str(trace)) == 0
-        monkeypatch.setattr("photonpressure.cli.fit_resonance", nonconverged)
+        monkeypatch.setattr("photonpressure.fitting.fit_resonance", nonconverged)
         assert run("fit", str(trace), "--model", "bare", "--out", str(out)) == 5
         assert "maximum iterations reached" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hf.dat"]
@@ -595,6 +608,59 @@ def readme_commands():
             if words[:1] == ["photonpressure"]:
                 commands.append(words[1:])
     return commands
+
+
+README_COMMANDS = readme_commands()
+
+# the package modules a command may load: every command resolves parameters
+# and writes through synth and traces; params adds the geometry modules and
+# fit the fit engine
+TABLE_MODULES = {"cli", "constants", "dynamics", "errors", "noise", "presets", "synth",
+                 "traces"}
+MODULE_BUDGET = {"params": TABLE_MODULES | {"circuit", "squid"},
+                 "fit": TABLE_MODULES | {"fitting", "lsq", "squid"}}
+
+
+@pytest.mark.parametrize("position", range(len(README_COMMANDS)),
+                         ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_module_budget(tmp_path, monkeypatch, position):
+    # a fresh interpreter runs one README command through cli.main, after the
+    # commands before it ran here (fit reads the trace synth wrote); it loads
+    # only the package modules that command runs, and never numpy.ma
+    monkeypatch.chdir(tmp_path)
+    for argv in README_COMMANDS[:position]:
+        assert main(argv) == 0, argv
+    argv = README_COMMANDS[position]
+    script = ("import json, sys; from photonpressure.cli import main; code = main(sys.argv[1:]); "
+              "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=package_env(), cwd=tmp_path, check=True)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("photonpressure.")}
+    assert loaded <= MODULE_BUDGET.get(argv[0], TABLE_MODULES)
+    assert "numpy.ma" not in modules
+
+
+def test_package_import_loads_no_numpy():
+    # the submodules load on first access
+    code = ("import sys, photonpressure as pp; bare = sorted(sys.modules); "
+            "pp.fitting.fit_resonance, pp.experiment_presets(); "
+            "print(' '.join(m for m in bare if m.split('.')[0] in ('numpy', 'photonpressure'))); "
+            "print(' '.join(m for m in sys.modules if m.startswith('photonpressure.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=package_env(), check=True).stdout.splitlines()
+    assert out[0] == "photonpressure"
+    assert {"photonpressure.fitting", "photonpressure.presets"} <= set(out[1].split())
+    assert "photonpressure.cli" not in out[1].split()
+
+
+def test_package_exports_resolve():
+    for name in photonpressure.__all__:
+        assert getattr(photonpressure, name) is not None
+    assert photonpressure.fitting is sys.modules["photonpressure.fitting"]
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        photonpressure.nope
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

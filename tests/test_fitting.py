@@ -592,6 +592,30 @@ class TestFitFluxArch:
         with pytest.raises(DomainError, match="rises again"):
             fit_flux_arch(phi, om)
 
+    def test_noisy_single_arch_accepted(self):
+        # the criterion-2 grid under 2e-4 multiplicative noise: a step against
+        # the arch's direction larger than 5% of its span is noise, not a
+        # second arch (the step check refused 58 of these 100)
+        phi = np.linspace(-0.546, 0.546, 61)
+        om = squid_frequency(phi, self.SPEC)
+        truth = np.array([TWO_PI * 5.844e9, 0.982, 0.59])
+        for seed in range(100):
+            noise = 2e-4 * np.random.default_rng(seed).standard_normal(phi.size)
+            fit = fit_flux_arch(phi, om * (1.0 + noise))
+            assert fit.converged, seed
+            # the largest of these 300 pulls is 3.95
+            assert np.all(np.abs(fit.params - truth) <= 5.0 * fit.uncertainties), seed
+
+    @pytest.mark.parametrize("shift", [1.7, -1.7], ids=["second-right", "second-left"])
+    def test_noisy_multiple_arches_rejected(self, shift):
+        inner = np.linspace(-0.3, 0.3, 13)
+        phi = np.concatenate([inner, inner + shift])
+        om = np.concatenate([squid_frequency(inner, self.SPEC)] * 2)
+        for seed in range(100):
+            noise = 1e-4 * np.random.default_rng(seed).standard_normal(phi.size)
+            with pytest.raises(DomainError, match="rises again"):
+                fit_flux_arch(phi, om * (1.0 + noise))
+
     def test_too_few_points(self):
         with pytest.raises(DomainError):
             fit_flux_arch(np.array([0.0, 0.1, 0.2]), np.array([1.0, 0.9, 0.8]))

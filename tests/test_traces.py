@@ -48,6 +48,18 @@ class TestFileRoundTrips:
         np.testing.assert_array_equal(data[:, 0], freq)
         np.testing.assert_allclose(data[:, 1], vals.real, rtol=1e-8, atol=0)
 
+    @pytest.mark.parametrize("shape", [(3001, 3), (3, 5000)], ids=["tall", "row-wider-than-block"])
+    def test_rows_formatted_across_blocks(self, tmp_path, shape):
+        # rows are formatted a block of rows at a time; a 2-D entry is one
+        # column per column of its own
+        table = np.random.default_rng(1).standard_normal(shape)
+        path = tmp_path / "table.dat"
+        write_columns(path, [table[:, 0], table[:, 1:]], {"columns": "x"},
+                      [".17g"] + [".9g"] * (shape[1] - 1))
+        expected = [" ".join([format(row[0], ".17g")] + [format(v, ".9g") for v in row[1:]])
+                    for row in table]
+        assert path.read_text().splitlines() == ["# columns: x"] + expected
+
     def test_spectrum_trace_units_header(self, tmp_path):
         path = tmp_path / "psd.dat"
         trace = SpectrumTrace(np.linspace(1e6, 2e6, 32), np.random.default_rng(0).random(32),
@@ -91,6 +103,72 @@ class TestParseErrors:
         path.write_text("# only comments\n")
         with pytest.raises(TraceFormatError):
             read_points(path)
+
+    @pytest.mark.parametrize("text", ["# columns: a b\n# units: x\n", "", "\n  \n\t\n"],
+                             ids=["comments", "empty", "blank"])
+    def test_no_rows_is_an_error_not_a_warning(self, tmp_path, text):
+        # numpy.loadtxt warns on a table without rows, and warnings are errors here
+        path = tmp_path / "rowless.dat"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match="no data rows"):
+            read_points(path)
+
+    # fields that float() takes but numpy.loadtxt, which parses the rows, does not
+    @pytest.mark.parametrize("field", ["1_000", "１", "١"],
+                             ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_float_only_numbers_refused_with_line(self, tmp_path, field):
+        path = tmp_path / "bad.dat"
+        path.write_text(f"# columns: a b c\n1 2 3\n\n4 {field} 6\n")
+        with pytest.raises(TraceFormatError, match="could not parse") as err:
+            read_points(path)
+        assert err.value.line == 4
+
+    def test_comment_after_numbers_is_dropped(self, tmp_path):
+        # float() refuses "3 # note" as a field; numpy.loadtxt drops the comment,
+        # and only a line that starts with '#' is a header entry
+        path = tmp_path / "inline.dat"
+        path.write_text("# units: W/Hz\n1 2 3 # note: x\n4 5 6#\n")
+        header, data = read_points(path)
+        assert header == {"units": "W/Hz"}
+        np.testing.assert_array_equal(data, [[1, 2, 3], [4, 5, 6]])
+
+    def test_blank_lines_and_whitespace_skipped(self, tmp_path):
+        path = tmp_path / "blank.dat"
+        path.write_text("\n  1\t2 3  \n\n   \n4 5 6\n\n")
+        _, data = read_points(path, n_columns=3)
+        np.testing.assert_array_equal(data, [[1, 2, 3], [4, 5, 6]])
+
+    def test_values_bit_equal_to_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        path = tmp_path / "bits.dat"
+        path.write_text("".join(" ".join(format(v, spec) for v in row) + "\n"
+                                for row, spec in zip(values, [".17g", ".9g", ".3e", ""] * 13)))
+        _, data = read_points(path)
+        expected = [[float(f) for f in line.split()] for line in path.read_text().splitlines()]
+        assert data.tolist() == expected
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 2 3\n\n4 5\n", 3, "inconsistent column count"),
+        ("1 2 3 # ok\n4 5 6 7 # no\n", 2, "inconsistent column count"),
+        ("# c\n1 2\n3 4\n", 2, "expected 3 columns, found 2"),
+        ("1 2 3\n4 5 x\n", 2, "could not parse '4 5 x'"),
+    ], ids=["ragged", "ragged-inline-comment", "narrow", "word"])
+    def test_row_errors_name_the_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.dat"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=message) as err:
+            read_points(path, n_columns=3 if message.startswith("expected") else None)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_numbers_parse_then_trace_refuses(self, tmp_path, field):
+        path = tmp_path / "nonfinite.dat"
+        path.write_text(f"1 0 0\n2 {field} 0\n")
+        _, data = read_points(path, n_columns=3)
+        assert not np.isfinite(data[1, 1])
+        with pytest.raises(DomainError, match="finite"):
+            read_complex_trace(path)
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
