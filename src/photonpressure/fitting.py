@@ -6,16 +6,26 @@ a complex reflection trace on top of a slowly varying instrumental background:
 1. mask the resonance region (within 2 initial-guess linewidths of the
    initial-guess center) and estimate the background
    (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline in closed
-   form; an algebraic circle fit of the background-divided data seeds the
-   resonance-circle rotation theta and the coupling.  The pumped model's
-   center is seeded at the midpoint of the outermost points at or below half
-   depth of the background-divided |S11|, between its two hybrid-mode dips,
-   rather than at the deeper of them;
-2. fit resonance and background jointly from that seed, evaluating the
-   model once per residual and building the Jacobian from that evaluation
-   straight into the engine's stacked real matrix.  As this is the only
-   nonlinear fit, the result's iterations, evaluations and message describe
-   it whole.
+   form;
+2. seed the resonance in closed form from the background-divided data s.
+   The bare model solves one complex linear least-squares problem on the
+   masked points, (s - 1) u + c = -2i(w - w_c)(s - 1) with
+   u = kappa - 2i(omega0 - w_c) and c = 2 kappa_e e^{i theta} (Levy's
+   linearisation of a rational fit).  The pumped model's center sits at the
+   midpoint of the outermost points at or below half depth of |s|, between
+   its two hybrid-mode dips; without a given g, g is half the distance
+   between the deepest points on either side of that center, and kappa_i
+   follows from the dip width, read as a hybrid-mode width (kappa + gamma0)/2
+   only when the two dips are resolved (2g above the width);
+3. refresh the background once, for both models: the seed's dip D
+   (theta = 0) gives theta = arg sum conj(D)(1 - s), the data divided by
+   1 - D e^{i theta} leave the background, and its lines are refitted on
+   the baseline; the bare seed is then solved again on the refreshed s;
+4. fit resonance and background jointly from that seed, evaluating the
+   model once per residual and writing the Jacobian from that evaluation
+   row by row into an (n, m) complex array, which the engine reads through
+   its transpose without a copy.  As this is the only nonlinear fit, the
+   result's iterations, evaluations and message describe it whole.
 
 The returned result's extras carry the fitted background
 (``extras["background"]``) and a background-corrected trace (divided by the
@@ -109,22 +119,34 @@ def _dip_midpoint(omega, mag, fallback):
     return 0.5 * (omega[below[0]] + omega[below[-1]])
 
 
-def _circle_rotation_guess(values):
-    """Rotation of the resonance circle from an algebraic circle fit.
+def _split_dip_seed(omega, mag, center):
+    """Half the distance between the deepest points of |S11| on either side
+    of ``center``: the coupling rate g of two hybrid-mode dips, or of the
+    dips that flank a transparency window."""
+    left = omega < center
+    i_left = np.argmin(np.where(left, mag, np.inf))
+    i_right = np.argmin(np.where(left, np.inf, mag))
+    return 0.5 * float(omega[i_right] - omega[i_left])
 
-    The off-resonant point of the ideal response is 1; the point opposite
-    the circle center is the dip, so the tilt is the phase of (1 - center).
+
+def _bare_seed(omega, s, center, width):
+    """(omega0, kappa_i, kappa_e, theta) of the bare resonance from one linear
+    least-squares fit to background-divided points ``s`` (Levy, IRE Trans.
+    Autom. Control AC-4:37, 1959).
+
+    The rotated response s = 1 - 2 ke e^{i theta}/(kappa + 2i(omega - omega0))
+    gives (s - 1) u + c = -2i (omega - center)(s - 1), linear in
+    u = kappa - 2i(omega0 - center) and c = 2 ke e^{i theta}.  When that gives
+    kappa <= 0 or ke outside (0, kappa), the seed is the dip's center and
+    ``width`` shared equally by the two rates.
     """
-    x, y = values.real, values.imag
-    a = np.column_stack([x, y, np.ones_like(x)])
-    b = x * x + y * y
-    try:
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError:
-        return 0.0, 0.5
-    xc, yc = sol[0] / 2.0, sol[1] / 2.0
-    vec = 1.0 - (xc + 1j * yc)
-    return float(np.angle(vec)), float(abs(vec))
+    d = s - 1.0
+    (u, c), *_ = np.linalg.lstsq(np.column_stack([d, np.ones_like(d)]),
+                                 -2j * (omega - center) * d, rcond=None)
+    kappa, ke = u.real, 0.5 * abs(c)
+    if kappa > 0 and 0 < ke < kappa:
+        return np.array([center - 0.5 * u.imag, kappa - ke, ke, np.angle(c)])
+    return np.array([center, 0.5 * width, 0.5 * width, 0.0])
 
 
 def _baseline_phase(omega, values, base_idx):
@@ -223,17 +245,16 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     # in units of the initial width) so the normal matrix stays well
     # conditioned for narrow lines on large carriers.
     corrected = values / bg0.evaluate(omega)
-    theta0, tilt_mag = _circle_rotation_guess(corrected[mask] if mask.sum() >= 8 else corrected)
-    kappa_e0 = max(width0 * tilt_mag / 2.0, width0 * 0.01)
-    kappa_i0 = max(width0 - kappa_e0, width0 * 0.05)
+    near = mask if mask.sum() >= 8 else np.ones_like(mask)
 
     # resonance(pars) returns the resonance term and the intermediates that
-    # resonance_jac(pars, state) turns into its complex columns
+    # resonance_jac(pars, state, bg, out) turns into its complex columns,
+    # times the background bg, written into the rows of out
     if model == "bare":
         res_names = ("omega0", "kappa_i", "kappa_e", "theta")
         res_ref = np.array([center0, 0.0, 0.0, 0.0])
         res_scale = np.array([width0, width0, width0, 1.0])
-        res0 = np.array([center0, kappa_i0, kappa_e0, theta0])
+        res0 = _bare_seed(omega[near], corrected[near], center0, width0)
 
         def resonance(pars):
             om0, ki, ke, theta = pars
@@ -241,19 +262,19 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
             dip = 1.0 - s11_bare(omega, om0, abs(ki), abs(ke))
             return 1.0 - dip * rot, rot
 
-        def resonance_jac(pars, rot):
+        def resonance_jac(pars, rot, bg, out):
             # d/d(omega0, kappa_i, kappa_e, theta) of the resonance term,
             # dip = 2|ke| z with z = 1/(|ki| + |ke| + 2i(omega - omega0));
             # s11_bare divides 2|ke| by that denominator instead, so z has
             # no value to share with it
             om0, ki, ke, _ = pars
             z = 1.0 / (abs(ki) + abs(ke) + 2j * (omega - om0))
-            return [
-                -4j * abs(ke) * z * z * rot,
-                2.0 * _sign(ki) * abs(ke) * z * z * rot,
-                -2.0 * _sign(ke) * z * (1.0 - abs(ke) * z) * rot,
-                -2j * abs(ke) * z * rot,
-            ]
+            zf = z * (rot * bg)
+            zzf = z * zf
+            np.multiply(zzf, -4j * abs(ke), out=out[0])
+            np.multiply(zzf, 2.0 * _sign(ki) * abs(ke), out=out[1])
+            np.multiply(zf - abs(ke) * zzf, -2.0 * _sign(ke), out=out[2])
+            np.multiply(zf, -2j * abs(ke), out=out[3])
     else:
         ke_fix = float(pumped["kappa_e"])
         gamma0_fix = float(pumped["gamma0"])
@@ -264,24 +285,28 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
             raise DomainError("decay rates must be >= 0 with a positive total")
         if gamma0_fix <= 0:
             raise DomainError("low-frequency linewidth must be positive")
-        center0 = _dip_midpoint(omega, np.abs(corrected), center0)
-        g0_guess = float(pumped.get("g", width0))
+        mag = np.abs(corrected)
+        center0 = _dip_midpoint(omega, mag, center0)
+        g0_guess = float(pumped["g"]) if "g" in pumped else _split_dip_seed(omega, mag, center0)
         lf_guess = float(pumped.get("lf_frequency", abs(detuning_fix)))
+        # two resolved hybrid-mode dips each have the width (kappa + gamma0)/2
+        kappa0 = 2.0 * width0 - gamma0_fix if 2.0 * g0_guess > width0 else width0
         res_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")
         res_ref = np.array([center0, 0.0, 0.0, lf_guess, 0.0])
         res_scale = np.array([width0, width0, max(width0, g0_guess),
                               max(width0, gamma0_fix), 1.0])
-        res0 = np.array([center0, kappa_i0, g0_guess, lf_guess, theta0])
+        res0 = np.array([center0, max(kappa0 - ke_fix, 0.05 * width0), g0_guess,
+                         lf_guess, 0.0])
 
         def resonance(pars):
             om0, ki, g, lf, theta = pars
             om = omega - (om0 + detuning_fix)
-            s, terms = _pumped_reflection(om, abs(ki), ke_fix, lf, gamma0_fix, g,
+            s, terms = _pumped_reflection(om, abs(ki), ke_fix, abs(lf), gamma0_fix, g,
                                           detuning_fix)
             rot = np.exp(1j * theta)
             return 1.0 - (1.0 - s) * rot, (om, terms, rot)
 
-        def resonance_jac(pars, state):
+        def resonance_jac(pars, state, bg, out):
             # d/d(omega0, kappa_i, g, lf_frequency, theta) of the resonance
             # term, from the intermediates of dynamics._pumped_terms.  With
             # the pump offset Om = omega - omega0 - detuning, a = 2i lf g^2 and
@@ -289,22 +314,42 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
             # s = 1 - ke chi_c (1 + t), t = a chi_c chi_lf,
             # 1/chi_lf = p - a (chi_c - chi_cm), and the term is
             # 1 - conj(1 - s) e^{i theta}: column j is conj(ds/dp_j) e^{i theta},
-            # and d/dtheta is conj(i (1 - s)) e^{i theta}
+            # and d/dtheta is conj(i (1 - s)) e^{i theta}.  lf enters as |lf|.
             _, ki, g, lf, _ = pars
             om, (chi_c, chi_cm, a, p, chi_lf), rot = state
+            lf_abs = abs(lf)
             t = a * chi_c * chi_lf
             c2 = chi_c * chi_c
             f = ke_fix * c2 * chi_lf * chi_lf
             # 2 ds/dkappa; omega0 and kappa move chi_c and chi_cm alike, so
             # ds/domega0 = -ds/dOm shares it
             ds_dk2 = ke_fix * c2 * (1.0 + 2.0 * t) + a * a * f * (c2 - chi_cm * chi_cm)
-            return [np.conj(col) * rot for col in (
-                1j * ds_dk2 + a * f * (2.0 * om + 1j * gamma0_fix),
-                0.5 * _sign(ki) * ds_dk2,
-                -4j * lf * g * p * f,
-                -2j * g ** 2 * (p - 2.0 * lf ** 2) * f,
-                1j * ke_fix * chi_c * (1.0 + t),
-            )]
+            out[0] = 1j * ds_dk2 + a * f * (2.0 * om + 1j * gamma0_fix)
+            np.multiply(ds_dk2, 0.5 * _sign(ki), out=out[1])
+            np.multiply(p * f, -4j * lf_abs * g, out=out[2])
+            np.multiply((p - 2.0 * lf_abs ** 2) * f, -2j * g ** 2 * _sign(lf), out=out[3])
+            np.multiply(chi_c * (1.0 + t), 1j * ke_fix, out=out[4])
+            np.conjugate(out, out=out)
+            out *= rot * bg
+
+    # one refresh of the background from the seed, with no loop: the seed's
+    # dip D (theta = 0) is turned onto the data, divided out of it, and the
+    # lines are refitted on the baseline, where the first estimate still
+    # carried the resonance's tails
+    res0[-1] = 0.0
+    dip = 1.0 - resonance(res0)[0]
+    res0[-1] = np.angle(np.vdot(dip, 1.0 - corrected))
+    bg_only = values / (1.0 - dip * np.exp(1j * res0[-1]))
+    base = ~mask
+    w = omega - w_ref
+    a0, a1 = _line_fit(w[base], np.abs(bg_only[base]))
+    # the phase correction is small, so it needs no unwrapping
+    b0, b1 = _line_fit(w[base], np.angle(bg_only[base] / bg0.evaluate(omega[base])))
+    bg0 = BackgroundModel(float(a0), float(a1), float(_wrap_angle(bg0.phase_offset + b0)),
+                          float(bg0.phase_slope + b1), reference_frequency=w_ref)
+    if model == "bare":
+        res0 = _bare_seed(omega[near], values[near] / bg0.evaluate(omega[near]),
+                          center0, width0)
 
     # joint fit of resonance and background, seeded by the closed forms
     names = res_names + ("amplitude_offset", "amplitude_slope",
@@ -316,7 +361,6 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
 
     n_res = len(res_names)
     m = omega.size
-    w = omega - w_ref
 
     def residual(u):
         pars = ref + scale * u
@@ -326,17 +370,17 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
         rot = np.exp(1j * (b0 + b1 * w))
 
         def jacobian():
-            # each complex column, times its parameter's scale, goes straight
-            # into the engine's stacked (2m, n) matrix
+            # row j of an (n, m) array is the complex column of parameter j,
+            # scaled; the engine reads its transpose without a copy
             bg = amp * rot
-            cols = [col * bg for col in resonance_jac(pars[:n_res], state)]
-            cols += [res * rot, res * w * rot, 1j * res * bg, 1j * w * res * bg]
-            jmat = np.empty((2 * m, scale.size))
-            for j, col in enumerate(cols):
-                c = col * scale[j]
-                jmat[:m, j] = c.real
-                jmat[m:, j] = c.imag
-            return jmat
+            jac = np.empty((scale.size, m), complex)
+            resonance_jac(pars[:n_res], state, bg, jac[:n_res])
+            np.multiply(res, rot, out=jac[n_res])
+            np.multiply(jac[n_res], w, out=jac[n_res + 1])
+            np.multiply(res, 1j * bg, out=jac[n_res + 2])
+            np.multiply(jac[n_res + 2], w, out=jac[n_res + 3])
+            jac *= scale[:, None]
+            return jac.T
 
         # (res * amp) * rot rounds unlike res * bg; bg is formed only for
         # the Jacobian, and only at accepted points
@@ -346,11 +390,12 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     fit.params = ref + scale * fit.params
     fit.uncertainties = scale * fit.uncertainties
 
-    # rates enter the model through |.| and angles through exp(i.); report
-    # them positive and wrapped, and the background from the same values
+    # rates and the low frequency enter the model through |.| and angles
+    # through exp(i.); report them positive and wrapped, and the background
+    # from the same values
     pars = fit.params
     for i, name in enumerate(names):
-        if name in ("kappa_i", "kappa_e", "g"):
+        if name in ("kappa_i", "kappa_e", "g", "lf_frequency"):
             pars[i] = abs(pars[i])
         elif name in ("theta", "phase_offset"):
             pars[i] = _wrap_angle(pars[i])

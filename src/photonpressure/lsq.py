@@ -2,9 +2,12 @@
 
 A small, dependency-free Levenberg-Marquardt-style minimizer used by every
 fit in the package.  ``residual(p)`` returns ``(r, jac_thunk)``: a real or
-complex residual, stacked as real rows above imaginary rows, and a thunk
-for its analytic derivative at ``p``, complex (m, n) or already stacked
-real (2m, n), used without a copy.  The thunk is called once at the seed
+complex residual of m points and a thunk for its analytic (m, n) derivative
+at ``p``, complex when ``r`` is.  The engine reads a complex residual
+through ``.view(float)``, so the real and imaginary part of each point are
+adjacent rows, and it reads the Jacobian through its transpose, the same
+way; a thunk that fills an (n, m) array and returns its transpose hands the
+engine its matrix without a copy.  The thunk is called once at the seed
 and once at each accepted point, never at a rejected try, so it may reuse
 its evaluation's intermediates.  No step raises the cost.
 
@@ -18,8 +21,10 @@ the cost (MINPACK's predicted-reduction test), before any further residual
 evaluation; otherwise that step is the first, undamped try.  It ends
 non-converged after ``_MAX_ITERATIONS``, when the damping of the tries
 exceeds ``_MAX_DAMPING`` (the one stop inside an iteration, still at the
-same point), or with a singular normal matrix at the returned point (more
-residuals than parameters); the engine never raises.  So ``evaluations``
+same point), or when the normal matrix at the returned point does not
+constrain every parameter: it is singular, or its inverse has a diagonal
+entry that is not positive and finite (more residuals than parameters); the
+engine never raises.  So ``evaluations``
 is 1 + iterations + rejected tries.
 """
 
@@ -76,10 +81,12 @@ class FitResult:
         return out
 
 
-def _stack(values) -> np.ndarray:
-    values = np.atleast_1d(np.asarray(values))
+def _real(values) -> np.ndarray:
+    """``values`` as float; a complex array is read as the (re, im) pairs of
+    its last axis, without a copy when that axis is contiguous."""
+    values = np.asarray(values)
     if np.iscomplexobj(values):
-        return np.concatenate([values.real, values.imag], dtype=float)
+        return np.ascontiguousarray(values).view(float)
     return values.astype(float, copy=False)
 
 
@@ -104,7 +111,7 @@ def least_squares(residual, x0, *, names=()) -> FitResult:
         nonlocal evaluations
         evaluations += 1
         r, thunk = residual(q)
-        r = _stack(r)
+        r = _real(np.atleast_1d(r))
         return r, float(r @ r), thunk
 
     r, cost, thunk = cost_of(p)
@@ -116,8 +123,9 @@ def least_squares(residual, x0, *, names=()) -> FitResult:
     small_step = False
 
     while True:
-        jmat = _stack(thunk())
-        jtj = jmat.T @ jmat
+        # row j: the derivative of the real view of r by parameter j
+        jt = _real(np.transpose(thunk()))
+        jtj = jt @ jt.T
         if small_step:
             converged, message = True, "parameter step below tolerance"
             break
@@ -126,7 +134,7 @@ def least_squares(residual, x0, *, names=()) -> FitResult:
         # -(2 grad.step + step.jtj.step), is -grad.step; when the linear
         # model cannot lower the cost by _COST_TOL of itself, p is the
         # optimum.  The check costs no residual evaluation and no iteration.
-        grad = jmat.T @ r
+        grad = jt @ r
         step = _solve(jtj, grad)
         if step is not None and -(grad @ step) <= _COST_TOL * cost:
             converged, message = True, "predicted decrease below tolerance"
@@ -159,15 +167,18 @@ def least_squares(residual, x0, *, names=()) -> FitResult:
 
     # standard uncertainties from the normal matrix at the returned point,
     # scaled by the residual variance (approximate, as usual).  A singular
-    # one leaves some parameter unconstrained, so the point is not a
-    # converged fit.
+    # one, or one whose inverse has a diagonal entry that is not positive
+    # and finite (rounding on a nearly singular matrix), leaves some
+    # parameter unconstrained, so the point is not a converged fit.
     uncertainties = np.full(n, np.nan)
     if m > n:
-        s2 = cost / (m - n)
         try:
-            cov = s2 * np.linalg.inv(jtj)
-            uncertainties = np.sqrt(np.maximum(np.diag(cov), 0.0))
+            var = np.diag(np.linalg.inv(jtj))
         except np.linalg.LinAlgError:
+            var = np.zeros(n)
+        if np.all(np.isfinite(var) & (var > 0.0)):
+            uncertainties = np.sqrt(cost / (m - n) * var)
+        else:
             converged = False
             message = "parameters are not identifiable: singular normal matrix"
 

@@ -21,16 +21,19 @@ to generate in parallel.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import (BackgroundModel, cooperativity, lf_s11_pumped, s11_bare,
                        s11_pumped)
 from .errors import ConfigError, DomainError
-from .noise import DetectionChain, psd_blue_pump
 from .constants import hbar
 from .presets import need
 from .traces import ComplexTrace, SpectrumTrace
+
+if TYPE_CHECKING:
+    from .noise import DetectionChain
 
 __all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd", "pump_sideband",
            "pump_detuning", "cavity_linewidth", "probed_resonance", "lf_occupation",
@@ -136,6 +139,8 @@ def noise_from(params: dict, seed: int) -> NoiseSpec | None:
 
 
 def detection_from(params: dict) -> DetectionChain:
+    from .noise import DetectionChain  # only the spectrum commands load noise
+
     return DetectionChain(
         hemt_noise_temperature=need(params, "detection.hemt_noise_temperature", 5.5),
         hemt_added_photons=need(params, "detection.hemt_added_photons", 20.0),
@@ -206,6 +211,8 @@ def synth_psd(params: dict, grid_hz, detection: DetectionChain,
     spectrum is scaled by gain * hbar * omega0 (narrow band, fixed photon
     energy).  The low-frequency occupation comes from :func:`lf_occupation`.
     """
+    from .noise import psd_blue_pump
+
     grid = np.asarray(grid_hz, dtype=float)
     omega0 = need(params, "hf.omega0")
     detuning = pump_detuning(params, "blue")

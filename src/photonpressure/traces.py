@@ -13,7 +13,6 @@ JSON documents with dotted keys and SI values.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
@@ -223,6 +222,8 @@ def write_spectrum_trace(path, trace: SpectrumTrace) -> None:
 
 def read_params(path) -> dict:
     """Read a flat JSON key/value document (dotted keys, SI values)."""
+    import json  # only the commands that read or write JSON load it
+
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -247,6 +248,8 @@ def write_params(path, params: dict) -> None:
                  if isinstance(value, float) and not np.isfinite(value))
     if bad:
         raise DomainError(f"output values must be finite, found nan or inf in {bad}")
+    import json
+
     text = json.dumps(params, indent=2, sort_keys=True) + "\n"
     if not path:
         sys.stdout.write(text)

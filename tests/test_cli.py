@@ -443,6 +443,30 @@ class TestFitRoundTrips:
         assert report["kappa_i"] == pytest.approx(TWO_PI * 222e3, rel=1e-3)
         assert report["lf_frequency"] == pytest.approx(TWO_PI * 391e6, rel=1e-6)
 
+    def test_weak_coupling_fit_finds_g_or_exits_5(self, tmp_path, presets):
+        # scene A at g/2pi = 11.6 kHz, below the strong-coupling threshold,
+        # fitted from a parameter file without drive.g and lf.omega0: the
+        # report holds g within 5 of its sigma, or the fit is refused
+        g = 73135.11901145386
+        trace, params, out = tmp_path / "weak.dat", tmp_path / "weak.json", tmp_path / "r.json"
+        scene = {k: v for k, v in presets["strong_coupling_A"].items()
+                 if k not in ("drive.g", "lf.omega0")}
+        params.write_text(json.dumps(scene))
+        assert run("synth", "--model", "pumped", "--preset", "strong_coupling_A",
+                   "--set", f"drive.g={g!r}", "--grid", "5842000000:5846000000:2001",
+                   "--set", "background.amplitude_offset=0.8",
+                   "--set", "background.amplitude_slope=1e-8",
+                   "--set", "background.phase_offset=0.3",
+                   "--set", "background.phase_slope=2e-8",
+                   "--set", "noise.kind=additive-complex-gaussian",
+                   "--set", "noise.sigma=0.005", "--seed", "27", "--out", str(trace)) == 0
+        code = run("fit", str(trace), "--model", "pumped", "--params", str(params),
+                   "--out", str(out))
+        assert code in (0, 5)
+        if code == 0:
+            report = json.loads(out.read_text())
+            assert abs(report["g"] - g) <= 5.0 * report["g_err"], report["g"]
+
     def test_lorentzian_fit_of_thermal_peak(self, tmp_path, presets):
         # the blue-pumped thermal peak of ppia sits at 5.844 GHz with the
         # effective width Gamma0 (1 - C); the report is the fit's own dict
@@ -640,6 +664,19 @@ def test_readme_command_module_budget(tmp_path, monkeypatch, position):
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("photonpressure.")}
     assert loaded <= MODULE_BUDGET.get(argv[0], TABLE_MODULES)
     assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("argv", [argv for argv in README_COMMANDS if argv[0] in
+                                  ("respond", "backaction", "nms", "synth", "sweep")],
+                         ids=lambda argv: argv[0])
+def test_table_command_loads_neither_noise_nor_json(tmp_path, argv):
+    # noise serves the spectrum commands and json the parameter documents;
+    # a command that writes a table from a preset loads neither
+    script = ("import sys; from photonpressure.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'photonpressure.noise' in sys.modules, 'json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=package_env(), cwd=tmp_path, check=True)
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]
 
 
 def test_package_import_loads_no_numpy():

@@ -258,7 +258,8 @@ class TestFitResonanceBare:
         fit = fit_resonance(make_bare_trace(HF_SET, n=601, theta=0.1, sigma=1e-3,
                                             background=linear_background(freq)))
         assert fit.iterations > 1
-        assert len(calls) == fit.evaluations
+        # the seed's background refresh evaluates the model once
+        assert len(calls) == fit.evaluations + 1
 
     @pytest.mark.parametrize("par", [HF_SET, LF_SET], ids=["hf", "lf"])
     def test_no_rejected_tries_on_criterion_6_traces(self, monkeypatch, par):
@@ -272,6 +273,14 @@ class TestFitResonanceBare:
             assert fit.converged, seed
             assert fit.evaluations == fit.iterations + 1, seed
             assert len(costs) == fit.iterations + 1, seed
+
+    @pytest.mark.parametrize("par", [HF_SET, LF_SET], ids=["hf", "lf"])
+    def test_three_iterations_on_criterion_6_traces(self, par):
+        # the closed-form seed and its background refresh start the fit so
+        # near its optimum that three Gauss-Newton steps reach it
+        for seed in range(10):
+            fit = fit_resonance(criterion_6_trace(par, seed))
+            assert fit.converged and fit.iterations <= 3, (seed, fit.iterations)
 
     def test_phase_offset_wrapped_like_background(self):
         # a background phase just inside pi, turning by 3 rad over the span:
@@ -423,7 +432,8 @@ class TestFitResonancePumped:
         calls = count_calls(monkeypatch, dynamics, "_pumped_terms")
         fit = fit_resonance(trace, model="pumped", pumped=fixed)
         assert fit.iterations > 1
-        assert len(calls) == fit.evaluations
+        # the seed's background refresh evaluates the model once
+        assert len(calls) == fit.evaluations + 1
 
     @pytest.mark.parametrize("label", ["A", "B", "C", "D"])
     def test_unseeded_fit_finds_g_or_is_not_converged(self, presets, label):
@@ -442,6 +452,52 @@ class TestFitResonancePumped:
             if fit.converged:
                 err = abs(fit.value("g") - scene["drive.g"])
                 assert err <= 5.0 * fit.as_dict()["g_err"], (seed, fit.value("g"))
+
+    def test_lf_frequency_enters_as_magnitude(self, presets):
+        # seeded at -lf_frequency, the fit finds the mirror of the optimum
+        # and reports it positive, as it reports the rates
+        scene = presets["strong_coupling_B"]
+        trace, fixed = make_pumped_trace(scene)
+        fit = fit_resonance(trace, model="pumped",
+                            pumped={**fixed, "lf_frequency": -scene["lf.omega0"]})
+        assert fit.converged
+        assert fit.value("lf_frequency") == pytest.approx(scene["lf.omega0"], rel=1e-6)
+        assert fit.value("g") == pytest.approx(scene["drive.g"], rel=1e-3)
+
+    def test_three_iterations_on_scene_b(self, presets):
+        # the benchmark's pumped trace: scene B on 2401 points over +-1.2 MHz,
+        # noise sigma 5e-4, fitted from the fixed rates alone
+        scene = presets["strong_coupling_B"]
+        freq = scene["hf.omega0"] / TWO_PI + np.linspace(-1.2e6, 1.2e6, 2401)
+        fixed = {"kappa_e": scene["hf.kappa_e"], "gamma0": scene["lf.gamma0"],
+                 "detuning": scene["drive.detuning"]}
+        for seed in range(10):
+            trace = synth_s11("pumped", scene, freq, background=linear_background(freq),
+                              noise=NoiseSpec("additive-complex-gaussian", 5e-4, seed=seed))
+            fit = fit_resonance(trace, model="pumped", pumped=fixed)
+            assert fit.converged and fit.iterations <= 3, (seed, fit.iterations)
+
+    @pytest.mark.parametrize("g", [73135.11901145386, 149418.98964380432],
+                             ids=["11.6kHz", "23.8kHz"])
+    def test_weak_coupling_fit_is_sound_or_not_converged(self, presets, g):
+        # scene A below the strong-coupling threshold, with g from
+        # sqrt(n_c) g0(phi) at flux bias 0.05 and 0.10: a converged fit holds
+        # lf_frequency within 1e-3 and reports finite, non-zero uncertainties
+        scene = dict(presets["strong_coupling_A"], **{"drive.g": g})
+        om0 = scene["hf.omega0"]
+        freq = om0 / TWO_PI + np.linspace(-2e6, 2e6, 2001)
+        bg = BackgroundModel(0.8, 1e-8, 0.3, 2e-8, reference_frequency=om0)
+        fixed = {"kappa_e": scene["hf.kappa_e"], "gamma0": scene["lf.gamma0"],
+                 "detuning": scene["drive.detuning"]}
+        for seed in range(100):
+            trace = synth_s11("pumped", scene, freq, background=bg, noise=NoiseSpec(
+                "additive-complex-gaussian", 0.005, seed=seed))
+            fit = fit_resonance(trace, model="pumped", pumped=fixed)
+            if fit.converged:
+                lf_err = abs(fit.value("lf_frequency") - scene["lf.omega0"]) / scene["lf.omega0"]
+                assert lf_err <= 1e-3, (seed, fit.value("lf_frequency"))
+                assert np.all(np.isfinite(fit.uncertainties)), seed
+                assert np.all(fit.uncertainties > 0), seed
 
     @pytest.mark.parametrize("key, value, message", [
         ("kappa_e", -1.0, "decay rates"),

@@ -170,6 +170,17 @@ class TestNonlinear:
         assert "not identifiable" in result.message
         np.testing.assert_array_equal(result.params, [1.0, 2.0])
 
+    def test_nearly_collinear_columns_are_not_identifiable(self):
+        # the columns x and x + 1e-8 cos(7x) are parallel to rounding: the
+        # normal matrix inverts, but with a negative diagonal, so no
+        # uncertainty can be given and the fit is not converged
+        x = np.linspace(0.5, 1.5, 50)
+        a = np.column_stack([x, x + 1e-8 * np.cos(7.0 * x)])
+        assert np.any(np.diag(np.linalg.inv(a.T @ a)) <= 0)
+        result = least_squares(linear(a, 1.0 + x), np.zeros(2))
+        assert not result.converged
+        assert "not identifiable" in result.message
+
     def test_named_lookup_errors(self):
         result = least_squares(linear(np.eye(1), np.ones(1)), np.array([0.0]),
                                names=("a",))
