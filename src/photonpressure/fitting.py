@@ -3,10 +3,12 @@
 The central routine is :func:`fit_resonance`, a background-corrected fit of
 a complex reflection trace on top of a slowly varying instrumental background:
 
-1. mask the resonance region (within 2 initial-guess linewidths of the
-   initial-guess center) and estimate the background
-   (a0 + a1*w) * exp(i(b0 + b1*w)) from the remaining baseline in closed
-   form;
+1. refuse a trace whose |S11| shows no dip, mask the resonance region
+   (within 2 initial-guess linewidths of the initial-guess center) and
+   estimate the background (a0 + a1*w) * exp(i(b0 + b1*w)) from the
+   remaining baseline in closed form: lines through |S11| and through its
+   phase, read against the line through the unwrapped phase of the longer
+   baseline run;
 2. seed the resonance in closed form from the background-divided data s.
    The bare model solves one complex linear least-squares problem on the
    masked points, (s - 1) u + c = -2i(w - w_c)(s - 1) with
@@ -18,9 +20,9 @@ a complex reflection trace on top of a slowly varying instrumental background:
    follows from the dip width, read as a hybrid-mode width (kappa + gamma0)/2
    only when the two dips are resolved (2g above the width);
 3. refresh the background once, for both models: the seed's dip D
-   (theta = 0) gives theta = arg sum conj(D)(1 - s), the data divided by
-   1 - D e^{i theta} leave the background, and its lines are refitted on
-   the baseline; the bare seed is then solved again on the refreshed s;
+   (theta = 0) gives theta = arg sum conj(D)(1 - s), and the data divided
+   by 1 - D e^{i theta} are read as in step 1, against the first estimate;
+   the bare seed is then solved again on the refreshed s;
 4. fit resonance and background jointly from that seed, evaluating the
    model once per residual and writing the Jacobian from that evaluation
    row by row into an (n, m) complex array, which the engine reads through
@@ -89,32 +91,28 @@ def _half_width(x, y, i0, level):
 
 def _dip_depth(mag):
     """Index of the deepest point of |S11| and its depth below the median of
-    the outer tenths of the trace."""
+    the outer tenths of the trace, which must be positive."""
     i0 = int(np.argmin(mag))
     edge = max(1, mag.size // 10)
-    baseline = float(_median(np.concatenate([mag[:edge], mag[-edge:]])))
-    return i0, baseline - mag[i0]
+    depth = float(_median(np.concatenate([mag[:edge], mag[-edge:]]))) - mag[i0]
+    if depth <= 0:
+        raise DomainError("no dip visible below the baseline of |S11|")
+    return i0, depth
 
 
 def _initial_dip(omega, mag):
     """Center and linewidth guesses from the deepest dip of |S11|."""
     i0, depth = _dip_depth(mag)
-    center = omega[i0]
-    if depth <= 0:
-        return center, (omega[-1] - omega[0]) / 10.0
-    return center, _half_width(omega, -mag, i0, -(mag[i0] + 0.5 * depth))
+    return omega[i0], _half_width(omega, -mag, i0, -(mag[i0] + 0.5 * depth))
 
 
-def _dip_midpoint(omega, mag, fallback):
-    """Midpoint of the outermost points at or below half the depth of |S11|,
-    or ``fallback`` when the trace shows no dip.
+def _dip_midpoint(omega, mag):
+    """Midpoint of the outermost points at or below half the depth of |S11|.
 
     A split dip (the two hybrid modes of a strongly pumped resonance) gives
     its center rather than the deeper of its halves.
     """
     i0, depth = _dip_depth(mag)
-    if depth <= 0:
-        return fallback
     below = np.flatnonzero(mag <= mag[i0] + 0.5 * depth)
     return 0.5 * (omega[below[0]] + omega[below[-1]])
 
@@ -149,41 +147,18 @@ def _bare_seed(omega, s, center, width):
     return np.array([center, 0.5 * width, 0.5 * width, 0.0])
 
 
-def _baseline_phase(omega, values, base_idx):
-    """Phase of the baseline points, unwrapped per contiguous segment and
-    reconciled across the resonance gap.
-
-    An overcoupled resonance winds the phase by a full turn, so segments on
-    either side of the dip may sit on branches a multiple of 2*pi apart; each
-    segment is shifted onto the line extrapolated from the first longest one.
-    Returns the phases in ``base_idx`` order.
-    """
-    segments = np.split(base_idx, np.where(np.diff(base_idx) > 1)[0] + 1)
-    phases = [np.unwrap(np.angle(values[seg])) for seg in segments]
-    k = max(range(len(segments)), key=lambda i: segments[i].size)
-    w_mid = omega[segments[k]].mean()
-    c0, c1 = _line_fit(omega[segments[k]] - w_mid, phases[k])
-    for i, seg in enumerate(segments):
-        if i != k:
-            predicted = c0 + c1 * (omega[seg] - w_mid)
-            phases[i] = phases[i] - 2.0 * np.pi * np.round(
-                _median(phases[i] - predicted) / (2.0 * np.pi))
-    return np.concatenate(phases)
-
-
-def _baseline_background(omega, values, mask, w_ref):
-    """Linear amplitude/phase background from the unmasked baseline."""
-    base_idx = np.where(~mask)[0]
-    w = omega[base_idx] - w_ref
-    a0, a1 = _line_fit(w, np.abs(values[base_idx]))
-    b0, b1 = _line_fit(w, _baseline_phase(omega, values, base_idx))
-    return BackgroundModel(
-        amplitude_offset=float(a0),
-        amplitude_slope=float(a1),
-        phase_offset=float(_wrap_angle(b0)),
-        phase_slope=float(b1),
-        reference_frequency=w_ref,
-    )
+def _baseline_background(omega, x, base, ref):
+    """Linear amplitude/phase background of ``x`` on the baseline points
+    ``base``, about ``ref``'s reference frequency: a line through |x|, and
+    ``ref``'s phase line plus a line through the phase of x against it.  A
+    reference that follows the phase keeps that difference small, so it
+    needs no unwrapping."""
+    w = omega[base] - ref.reference_frequency
+    a0, a1 = _line_fit(w, np.abs(x[base]))
+    b0, b1 = _line_fit(w, np.angle(x[base] / ref.evaluate(omega[base])))
+    return BackgroundModel(float(a0), float(a1), float(_wrap_angle(ref.phase_offset + b0)),
+                           float(ref.phase_slope + b1),
+                           reference_frequency=ref.reference_frequency)
 
 
 def _line_fit(x, y):
@@ -232,13 +207,22 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     if span < 5.0 * width0:
         raise DomainError("trace must span at least 5 estimated linewidths")
 
-    # background from the off-resonant baseline
+    # background from the off-resonant baseline, read against the line
+    # through the unwrapped phase of its longer run: an overcoupled dip winds
+    # the phase by a full turn, so the runs either side of it may sit on
+    # branches 2 pi apart
     mask = np.abs(omega - center0) <= _MASK_HALFWIDTHS * width0
-    if (~mask).sum() < _MIN_BASELINE_FRACTION * omega.size:
+    base = ~mask
+    if base.sum() < _MIN_BASELINE_FRACTION * omega.size:
         raise DomainError(
-            f"only {(~mask).sum()} of {omega.size} points are off-resonant; "
+            f"only {base.sum()} of {omega.size} points are off-resonant; "
             f"need {_MIN_BASELINE_FRACTION:.0%}")
-    bg0 = _baseline_background(omega, values, mask, w_ref)
+    run = base & (omega < center0)
+    if 2 * run.sum() < base.sum():
+        run = base & ~run
+    b0, b1 = _line_fit(omega[run] - w_ref, np.unwrap(np.angle(values[run])))
+    bg0 = _baseline_background(omega, values, base, BackgroundModel(
+        phase_offset=b0, phase_slope=b1, reference_frequency=w_ref))
 
     # resonance seed from the background-divided data.  The engine sees
     # dimensionless parameters (frequency as offset from the initial center
@@ -286,7 +270,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
         if gamma0_fix <= 0:
             raise DomainError("low-frequency linewidth must be positive")
         mag = np.abs(corrected)
-        center0 = _dip_midpoint(omega, mag, center0)
+        center0 = _dip_midpoint(omega, mag)
         g0_guess = float(pumped["g"]) if "g" in pumped else _split_dip_seed(omega, mag, center0)
         lf_guess = float(pumped.get("lf_frequency", abs(detuning_fix)))
         # two resolved hybrid-mode dips each have the width (kappa + gamma0)/2
@@ -339,14 +323,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     res0[-1] = 0.0
     dip = 1.0 - resonance(res0)[0]
     res0[-1] = np.angle(np.vdot(dip, 1.0 - corrected))
-    bg_only = values / (1.0 - dip * np.exp(1j * res0[-1]))
-    base = ~mask
-    w = omega - w_ref
-    a0, a1 = _line_fit(w[base], np.abs(bg_only[base]))
-    # the phase correction is small, so it needs no unwrapping
-    b0, b1 = _line_fit(w[base], np.angle(bg_only[base] / bg0.evaluate(omega[base])))
-    bg0 = BackgroundModel(float(a0), float(a1), float(_wrap_angle(bg0.phase_offset + b0)),
-                          float(bg0.phase_slope + b1), reference_frequency=w_ref)
+    bg0 = _baseline_background(omega, values / (1.0 - dip * np.exp(1j * res0[-1])), base, bg0)
     if model == "bare":
         res0 = _bare_seed(omega[near], values[near] / bg0.evaluate(omega[near]),
                           center0, width0)
@@ -361,6 +338,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
 
     n_res = len(res_names)
     m = omega.size
+    w = omega - w_ref
 
     def residual(u):
         pars = ref + scale * u

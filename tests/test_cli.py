@@ -96,6 +96,18 @@ class TestExitCodes:
         assert ("line 3:" in capsys.readouterr().err) == (code == 3)
         assert not out.exists()
 
+    def test_trace_without_dip_is_domain_error(self, tmp_path, capsys):
+        # kappa_e = 0 decouples the resonator from the line: |S11| = 1
+        # everywhere, and no resonance can be read off the trace
+        flat, out = tmp_path / "flat.dat", tmp_path / "flat.json"
+        assert run("synth", "--model", "bare", "--preset", "hf_fit",
+                   "--set", "hf.kappa_e=0", "--out", str(flat)) == 0
+        assert run("fit", str(flat), "--model", "bare", "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "no dip" in err
+        assert not out.exists() and not Path(f"{out}.trace").exists()
+
     def test_module_run_prints_one_line(self, tmp_path):
         # as a program, numpy's warnings about the NaN row would reach stderr too
         out = tmp_path / "ba.dat"
@@ -265,6 +277,18 @@ class TestReproducibility:
             assert run("respond", "--model", "bare", "--preset", "lf", *extra,
                        "--out", str(b)) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--set", "noise.kind=multiplicative-gaussian", "--set", "noise.sigma=0.03",
+         "--seed", "5", "--units", "si"],
+    ], ids=["noiseless", "multiplicative-si"])
+    def test_psd_synth_matches_psd(self, tmp_path, extra):
+        a, b = tmp_path / "a.dat", tmp_path / "b.dat"
+        argv = ["--preset", "ppia", "--set", "thermal.n_th=4", *extra]
+        assert run("synth", "--model", "psd", *argv, "--out", str(a)) == 0
+        assert run("psd", *argv, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_applies_background(self, tmp_path):
         # like respond and synth, sweep multiplies every trace by background.*

@@ -20,9 +20,10 @@ LF_SET = dict(omega0=TWO_PI * 391.18e6, kappa_i=TWO_PI * 7.4e3, kappa_e=TWO_PI *
 
 
 def make_bare_trace(par, n=2001, halfwidths=4.0, theta=0.0, background=None,
-                    sigma=0.0, seed=0):
+                    sigma=0.0, seed=0, shift=0.0):
+    # ``shift`` moves the grid's center off omega0 by that many linewidths
     kappa = par["kappa_i"] + par["kappa_e"]
-    f0 = par["omega0"] / TWO_PI
+    f0 = (par["omega0"] + shift * kappa) / TWO_PI
     span = 2 * halfwidths * kappa / TWO_PI
     freq = np.linspace(f0 - span / 2, f0 + span / 2, n)
     vals = s11_bare(TWO_PI * freq, par["omega0"], par["kappa_i"], par["kappa_e"])
@@ -321,6 +322,16 @@ class TestFitResonanceBare:
         with pytest.raises(DomainError):
             fit_resonance(ComplexTrace(freq, np.ones(8, complex)))
 
+    @pytest.mark.parametrize("model, fixed", [
+        ("bare", None), ("pumped", {"kappa_e": 1e5, "gamma0": 1e3, "detuning": -2e9})],
+        ids=["bare", "pumped"])
+    def test_flat_trace_is_refused(self, model, fixed):
+        # kappa_e = 0 leaves |S11| = 1 everywhere: no dip to fit
+        trace = make_bare_trace(dict(HF_SET, kappa_e=0.0), n=1201)
+        assert np.all(trace.values == 1.0)
+        with pytest.raises(DomainError, match="no dip"):
+            fit_resonance(trace, model=model, pumped=fixed)
+
 
 # background and rotation axes of the sweep: amplitude slope (relative, per
 # span), phase offset at 0 and just inside +-pi, phase slope (rad per span)
@@ -332,10 +343,21 @@ SWEEP_BACKGROUNDS = [(a1, b0, b1, theta)
                      for theta in (-0.5, 0.0, 0.5)]
 
 
-def sweep_trace(ratio, sigma, case):
+# the dip 1 linewidth from the low and from the high end of the trace, so
+# the baseline of a noiseless trace is one run, on two backgrounds of the
+# grid with the full phase slope, their phase offset near -pi and +pi and no
+# rotation (an overcoupled dip there is refused by the initial width
+# estimate when rotated by +0.5 at the low end or -0.5 at the high end:
+# ROADMAP item 6)
+SWEEP_EDGES = [(SWEEP_BACKGROUNDS.index((-0.1, -(math.pi - 1e-3), -3.0, 0.0)), -1),
+               (SWEEP_BACKGROUNDS.index((0.1, math.pi - 1e-3, 3.0, 0.0)), 1)]
+
+
+def sweep_trace(ratio, sigma, case, edge=0):
     """Bare hf trace with kappa_e/kappa_i = ``ratio``, the background and
     rotation of ``SWEEP_BACKGROUNDS[case]`` and noise ``sigma`` seeded by
-    ``case``; returns the true parameters and the trace."""
+    ``case``; ``edge`` -1 or 1 puts the dip 1 linewidth from the low or
+    the high end.  Returns the true parameters and the trace."""
     kappa = HF_SET["kappa_i"] + HF_SET["kappa_e"]
     par = dict(omega0=HF_SET["omega0"], kappa_i=kappa / (1.0 + ratio),
                kappa_e=kappa * ratio / (1.0 + ratio))
@@ -344,67 +366,27 @@ def sweep_trace(ratio, sigma, case):
     bg = BackgroundModel(0.93, a1 * 0.93 / span, b0, b1 / span,
                          reference_frequency=par["omega0"])
     return par, make_bare_trace(par, n=1201, theta=theta, background=bg,
-                                sigma=sigma, seed=case)
+                                sigma=sigma, seed=case, shift=-3.0 * edge)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.02])
 @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
 def test_background_sweep_reaches_truth(ratio, sigma):
-    # every background of the grid: the fit converges, noiseless traces give
-    # the truth to 1e-8 (omega0 in linewidths) and noisy ones within 5 of
-    # the fit's own uncertainties
-    for case in range(len(SWEEP_BACKGROUNDS)):
-        par, trace = sweep_trace(ratio, sigma, case)
+    # every background of the grid and the two edge dips: the fit converges,
+    # noiseless traces give the truth to 1e-8 (omega0 in linewidths) and
+    # noisy ones within 5 of the fit's own uncertainties
+    for case, edge in [(c, 0) for c in range(len(SWEEP_BACKGROUNDS))] + SWEEP_EDGES:
+        par, trace = sweep_trace(ratio, sigma, case, edge)
         fit = fit_resonance(trace)
-        assert fit.converged, case
+        assert fit.converged, (case, edge)
         kappa = par["kappa_i"] + par["kappa_e"]
         for name in ("omega0", "kappa_i", "kappa_e"):
             err = abs(fit.value(name) - par[name])
             if sigma:
-                assert err <= 5.0 * fit.as_dict()[name + "_err"], (case, name)
+                assert err <= 5.0 * fit.as_dict()[name + "_err"], (case, edge, name)
             else:
                 scale = kappa if name == "omega0" else par[name]
-                assert err <= 1e-8 * scale, (case, name, err / scale)
-
-
-def _baseline_phase_reference(omega, values, base_idx):
-    """Per-point reference for fitting._baseline_phase: phases keyed by index."""
-    segments = np.split(base_idx, np.where(np.diff(base_idx) > 1)[0] + 1)
-    segments.sort(key=len, reverse=True)
-    anchor = segments[0]
-    phase = {i: v for i, v in zip(anchor, np.unwrap(np.angle(values[anchor])))}
-    w = omega[anchor]
-    design = np.column_stack([np.ones_like(w), w - w.mean()])
-    coef, *_ = np.linalg.lstsq(design, np.fromiter(phase.values(), float), rcond=None)
-    for seg in segments[1:]:
-        seg_phase = np.unwrap(np.angle(values[seg]))
-        predicted = coef[0] + coef[1] * (omega[seg] - w.mean())
-        shift = 2.0 * np.pi * np.round(np.median(seg_phase - predicted) / (2.0 * np.pi))
-        for i, v in zip(seg, seg_phase - shift):
-            phase[i] = v
-    idx = np.array(sorted(phase))
-    return idx, np.array([phase[i] for i in idx])
-
-
-@pytest.mark.parametrize("gaps", [[(500, 700)], [(300, 600)], [(0, 100), (450, 500), (800, 850)]],
-                         ids=["one-gap", "equal-halves", "three-gaps"])
-def test_baseline_phase_matches_reference(gaps):
-    # an overcoupled dip winds the phase by a full turn across each gap, so
-    # the segments land on different branches and must be shifted
-    from photonpressure.fitting import _baseline_phase
-
-    omega = TWO_PI * np.linspace(5.8432e9, 5.8448e9, 900)
-    rng = np.random.default_rng(len(gaps))
-    phase = 9.0 * np.linspace(0, 1, 900) + 0.05 * rng.standard_normal(900)
-    mask = np.zeros(900, bool)
-    for a, b in gaps:
-        mask[a:b] = True
-        phase[b:] += TWO_PI
-    values = 0.9 * np.exp(1j * phase)
-    base_idx = np.where(~mask)[0]
-    idx, expected = _baseline_phase_reference(omega, values, base_idx)
-    assert np.array_equal(idx, base_idx)
-    assert np.array_equal(_baseline_phase(omega, values, base_idx), expected)
+                assert err <= 1e-8 * scale, (case, edge, name, err / scale)
 
 
 class TestFitResonancePumped:

@@ -160,6 +160,17 @@ class TestNonlinear:
         sigma = 0.05 / np.sqrt(np.sum((x - x.mean()) ** 2))
         assert result.as_dict()["slope_err"] == pytest.approx(sigma, rel=0.3)
 
+    def test_wrong_jacobian_exhausts_damping(self):
+        # a Jacobian of the wrong sign makes every damped step climb, so no
+        # step is accepted and the seed is returned
+        result = least_squares(lambda p: (np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]),
+                                          lambda: -np.array([[1.0], [2.0]])),
+                               np.array([3.0]))
+        assert not result.converged
+        assert result.message == "damping exhausted without an acceptable step"
+        np.testing.assert_array_equal(result.params, [3.0])
+        assert result.evaluations == 21
+
     def test_zero_jacobian_is_not_converged(self):
         # a model that does not move with its parameters leaves them
         # unconstrained: the normal matrix is singular at the returned point
