@@ -12,7 +12,8 @@ All functions are pure and accept scalars or arrays for the frequency
 argument.  chi_c, chi_c*(-Omega) and chi_eff are written once, in
 :func:`_pumped_terms`; :func:`_pumped_reflection` returns them with the
 reflection, so the pumped fit builds its Jacobian from the same terms.
-:class:`BackgroundModel` is the instrumental background of a trace.
+:class:`BackgroundModel` is the instrumental background of a trace; its
+phase factor, and the fit's, comes from :func:`_cis`.
 """
 
 from __future__ import annotations
@@ -80,7 +81,17 @@ class BackgroundModel:
     def evaluate(self, omega):
         w = np.asarray(omega, dtype=float) - self.reference_frequency
         return (self.amplitude_offset + self.amplitude_slope * w) \
-            * np.exp(1j * (self.phase_offset + self.phase_slope * w))
+            * _cis(self.phase_offset + self.phase_slope * w)
+
+
+def _cis(x):
+    """exp(i x) for real ``x``, an array of its shape: cos x and sin x are
+    written into the real and imaginary views of one complex array, which
+    skips the complex exponential's real factor and the product 1j * x."""
+    out = np.empty(np.shape(x), complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def _ret(values, scalar_input, to_complex=True):

@@ -13,7 +13,8 @@ a complex reflection trace on top of a slowly varying instrumental background:
    The bare model solves one complex linear least-squares problem on the
    masked points, (s - 1) u + c = -2i(w - w_c)(s - 1) with
    u = kappa - 2i(omega0 - w_c) and c = 2 kappa_e e^{i theta} (Levy's
-   linearisation of a rational fit).  The pumped model's center sits at the
+   linearisation of a rational fit), as a complex line: u from the
+   deviations of s - 1 about its mean, then c from the means.  The pumped model's center sits at the
    midpoint of the outermost points at or below half depth of |s|, between
    its two hybrid-mode dips; without a given g, g is half the distance
    between the deepest points on either side of that center, and kappa_i
@@ -24,10 +25,13 @@ a complex reflection trace on top of a slowly varying instrumental background:
    by 1 - D e^{i theta} are read as in step 1, against the first estimate;
    the bare seed is then solved again on the refreshed s;
 4. fit resonance and background jointly from that seed, evaluating the
-   model once per residual and writing the Jacobian from that evaluation
-   row by row into an (n, m) complex array, which the engine reads through
-   its transpose without a copy.  As this is the only nonlinear fit, the
-   result's iterations, evaluations and message describe it whole.
+   model once per residual (the background phase factor as cos + i sin)
+   and writing the Jacobian from that evaluation row by row into the fit's
+   one (n, m) complex buffer, each row's parameter scale folded into the
+   factor the row is already multiplied by.  The engine reads the buffer
+   through its transpose without a copy, before the next Jacobian refills
+   it.  As this is the only nonlinear fit, the result's iterations,
+   evaluations and message describe it whole.
 
 The returned result's extras carry the fitted background
 (``extras["background"]``) and a background-corrected trace (divided by the
@@ -42,7 +46,7 @@ import math
 
 import numpy as np
 
-from .dynamics import (BackgroundModel, _pumped_reflection, backaction_sideband,
+from .dynamics import (BackgroundModel, _cis, _pumped_reflection, backaction_sideband,
                        s11_bare)
 from .errors import DomainError
 from .lsq import FitResult, least_squares
@@ -133,14 +137,19 @@ def _bare_seed(omega, s, center, width):
     Autom. Control AC-4:37, 1959).
 
     The rotated response s = 1 - 2 ke e^{i theta}/(kappa + 2i(omega - omega0))
-    gives (s - 1) u + c = -2i (omega - center)(s - 1), linear in
-    u = kappa - 2i(omega0 - center) and c = 2 ke e^{i theta}.  When that gives
-    kappa <= 0 or ke outside (0, kappa), the seed is the dip's center and
-    ``width`` shared equally by the two rates.
+    gives d u + c = b with d = s - 1 and b = -2i (omega - center) d, linear in
+    u = kappa - 2i(omega0 - center) and c = 2 ke e^{i theta}.  Its two
+    unknowns are solved in closed form about the mean of d, as a complex
+    line through (d, b).  When that gives kappa <= 0 or ke outside
+    (0, kappa), the seed is the dip's center and ``width`` shared equally by
+    the two rates.
     """
     d = s - 1.0
-    (u, c), *_ = np.linalg.lstsq(np.column_stack([d, np.ones_like(d)]),
-                                 -2j * (omega - center) * d, rcond=None)
+    b = -2j * (omega - center) * d
+    d_mid = d.mean()
+    dd = d - d_mid
+    u = np.vdot(dd, b) / np.vdot(dd, dd).real
+    c = b.mean() - u * d_mid
     kappa, ke = u.real, 0.5 * abs(c)
     if kappa > 0 and 0 < ke < kappa:
         return np.array([center - 0.5 * u.imag, kappa - ke, ke, np.angle(c)])
@@ -248,16 +257,16 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
 
         def resonance_jac(pars, rot, bg, out):
             # d/d(omega0, kappa_i, kappa_e, theta) of the resonance term,
-            # dip = 2|ke| z with z = 1/(|ki| + |ke| + 2i(omega - omega0));
-            # s11_bare divides 2|ke| by that denominator instead, so z has
-            # no value to share with it
+            # each times its parameter's scale, with dip = 2|ke| z and
+            # z = 1/(|ki| + |ke| + 2i(omega - omega0)); s11_bare divides 2|ke|
+            # by that denominator instead, so z has no value to share with it
             om0, ki, ke, _ = pars
             z = 1.0 / (abs(ki) + abs(ke) + 2j * (omega - om0))
             zf = z * (rot * bg)
             zzf = z * zf
-            np.multiply(zzf, -4j * abs(ke), out=out[0])
-            np.multiply(zzf, 2.0 * _sign(ki) * abs(ke), out=out[1])
-            np.multiply(zf - abs(ke) * zzf, -2.0 * _sign(ke), out=out[2])
+            np.multiply(zzf, -4j * abs(ke) * width0, out=out[0])
+            np.multiply(zzf, 2.0 * _sign(ki) * abs(ke) * width0, out=out[1])
+            np.multiply(zf - abs(ke) * zzf, -2.0 * _sign(ke) * width0, out=out[2])
             np.multiply(zf, -2j * abs(ke), out=out[3])
     else:
         ke_fix = float(pumped["kappa_e"])
@@ -275,10 +284,10 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
         lf_guess = float(pumped.get("lf_frequency", abs(detuning_fix)))
         # two resolved hybrid-mode dips each have the width (kappa + gamma0)/2
         kappa0 = 2.0 * width0 - gamma0_fix if 2.0 * g0_guess > width0 else width0
+        g_scale, lf_scale = max(width0, g0_guess), max(width0, gamma0_fix)
         res_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")
         res_ref = np.array([center0, 0.0, 0.0, lf_guess, 0.0])
-        res_scale = np.array([width0, width0, max(width0, g0_guess),
-                              max(width0, gamma0_fix), 1.0])
+        res_scale = np.array([width0, width0, g_scale, lf_scale, 1.0])
         res0 = np.array([center0, max(kappa0 - ke_fix, 0.05 * width0), g0_guess,
                          lf_guess, 0.0])
 
@@ -292,8 +301,9 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
 
         def resonance_jac(pars, state, bg, out):
             # d/d(omega0, kappa_i, g, lf_frequency, theta) of the resonance
-            # term, from the intermediates of dynamics._pumped_terms.  With
-            # the pump offset Om = omega - omega0 - detuning, a = 2i lf g^2 and
+            # term, each times its parameter's scale (real, so it passes the
+            # conjugation), from the intermediates of dynamics._pumped_terms.
+            # With the pump offset Om = omega - omega0 - detuning, a = 2i lf g^2 and
             # p = lf^2 - Om^2 - i Om gamma0, s11_pumped evaluates
             # s = 1 - ke chi_c (1 + t), t = a chi_c chi_lf,
             # 1/chi_lf = p - a (chi_c - chi_cm), and the term is
@@ -308,10 +318,11 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
             # 2 ds/dkappa; omega0 and kappa move chi_c and chi_cm alike, so
             # ds/domega0 = -ds/dOm shares it
             ds_dk2 = ke_fix * c2 * (1.0 + 2.0 * t) + a * a * f * (c2 - chi_cm * chi_cm)
-            out[0] = 1j * ds_dk2 + a * f * (2.0 * om + 1j * gamma0_fix)
-            np.multiply(ds_dk2, 0.5 * _sign(ki), out=out[1])
-            np.multiply(p * f, -4j * lf_abs * g, out=out[2])
-            np.multiply((p - 2.0 * lf_abs ** 2) * f, -2j * g ** 2 * _sign(lf), out=out[3])
+            out[0] = (1j * width0) * ds_dk2 + (a * width0) * f * (2.0 * om + 1j * gamma0_fix)
+            np.multiply(ds_dk2, 0.5 * _sign(ki) * width0, out=out[1])
+            np.multiply(p * f, -4j * lf_abs * g * g_scale, out=out[2])
+            np.multiply((p - 2.0 * lf_abs ** 2) * f, -2j * g ** 2 * _sign(lf) * lf_scale,
+                        out=out[3])
             np.multiply(chi_c * (1.0 + t), 1j * ke_fix, out=out[4])
             np.conjugate(out, out=out)
             out *= rot * bg
@@ -337,27 +348,27 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
                                    bg0.phase_offset, bg0.phase_slope]])
 
     n_res = len(res_names)
-    m = omega.size
     w = omega - w_ref
+    w_scaled = w / span  # the slopes' columns carry their scale 1/span in w
+    # row j of the fit's one (n, m) buffer is the complex column of
+    # parameter j, scaled; each thunk refills it, and the engine reads its
+    # transpose without a copy before the next thunk call
+    jac = np.empty((scale.size, omega.size), complex)
 
     def residual(u):
         pars = ref + scale * u
         res, state = resonance(pars[:n_res])
         a0, a1, b0, b1 = pars[n_res:]
         amp = a0 + a1 * w
-        rot = np.exp(1j * (b0 + b1 * w))
+        rot = _cis(b0 + b1 * w)
 
         def jacobian():
-            # row j of an (n, m) array is the complex column of parameter j,
-            # scaled; the engine reads its transpose without a copy
             bg = amp * rot
-            jac = np.empty((scale.size, m), complex)
             resonance_jac(pars[:n_res], state, bg, jac[:n_res])
             np.multiply(res, rot, out=jac[n_res])
-            np.multiply(jac[n_res], w, out=jac[n_res + 1])
+            np.multiply(jac[n_res], w_scaled, out=jac[n_res + 1])
             np.multiply(res, 1j * bg, out=jac[n_res + 2])
-            np.multiply(jac[n_res + 2], w, out=jac[n_res + 3])
-            jac *= scale[:, None]
+            np.multiply(jac[n_res + 2], w_scaled, out=jac[n_res + 3])
             return jac.T
 
         # (res * amp) * rot rounds unlike res * bg; bg is formed only for

@@ -9,7 +9,9 @@ adjacent rows, and it reads the Jacobian through its transpose, the same
 way; a thunk that fills an (n, m) array and returns its transpose hands the
 engine its matrix without a copy.  The thunk is called once at the seed
 and once at each accepted point, never at a rejected try, so it may reuse
-its evaluation's intermediates.  No step raises the cost.
+its evaluation's intermediates.  The engine reads each Jacobian before its
+next thunk call, so every thunk of a fit may refill and return one shared
+buffer.  No step raises the cost.
 
 Every fit runs under one policy with no options.  Each iteration starts by
 forming the Jacobian at the current point, and every stop but one is

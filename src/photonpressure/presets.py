@@ -87,6 +87,8 @@ _PRESETS: dict[str, dict] = {
     # sideband-pump scenes
     "backaction": {
         "lf.omega0": TWO_PI * 391e6,
+        "lf.gamma_i": TWO_PI * 7.4e3,
+        "lf.gamma_e": TWO_PI * 14.6e3,
         "lf.gamma0": TWO_PI * 22e3,
         "drive.g": _G_BACKACTION,
         "drive.kappa_eff": TWO_PI * 110e3,

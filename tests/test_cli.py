@@ -546,6 +546,25 @@ class TestSimulationCommands:
         # dispersive shift crosses zero at the sideband and peaks at +-k/2
         assert data[i, 1] == pytest.approx(0.0, abs=1e-6)
 
+    def test_lf_pumped_response_of_backaction_scene(self, tmp_path):
+        # the backaction scene's rates split its lf.gamma0, and its red pump
+        # probed on the low-frequency mode is lf_s11_pumped with the
+        # effective cavity linewidth
+        from photonpressure.dynamics import lf_s11_pumped
+        from photonpressure.presets import preset
+
+        scene = preset("backaction")
+        assert scene["lf.gamma_i"] + scene["lf.gamma_e"] == pytest.approx(
+            scene["lf.gamma0"], rel=1e-12)
+        out = tmp_path / "lf.dat"
+        assert run("respond", "--model", "lf_pumped", "--preset", "backaction",
+                   "--points", "401", "--out", str(out)) == 0
+        trace = read_complex_trace(out)
+        expected = lf_s11_pumped(TWO_PI * trace.frequency_hz, scene["lf.omega0"],
+                                 scene["lf.gamma_i"], scene["lf.gamma_e"], scene["drive.g"],
+                                 -scene["lf.omega0"], scene["drive.kappa_eff"])
+        np.testing.assert_array_equal(trace.values, expected)
+
     def test_nms_zero_coupling_flat_branches(self, tmp_path):
         out = tmp_path / "nms.dat"
         assert run("nms", "--preset", "strong_coupling_D",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from photonpressure.dynamics import (backaction_exact, backaction_sideband,
+from photonpressure.dynamics import (_cis, backaction_exact, backaction_sideband,
                                      cooperativity, effective_lf_susceptibility,
                                      lf_s11_pumped, normal_modes, s11_bare,
                                      s11_pumped)
@@ -418,3 +418,19 @@ def test_scalar_equals_array_element():
             one = func(grid[i])
             assert type(one) is kind, name
             assert one == arr[i], (name, i)
+
+
+class TestCis:
+    def test_within_one_ulp_of_complex_exp(self):
+        # numpy picks its float64 sin, cos and complex exp kernels by CPU, so
+        # the parts may differ from exp(1j x) by rounding, never by more
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 200_000) * np.logspace(-3, 6, 200_000)
+        got, ref = _cis(x), np.exp(1j * x)
+        np.testing.assert_array_max_ulp(got.real, ref.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, ref.imag, maxulp=1)
+
+    def test_zero_dimensional_input(self):
+        got, ref = _cis(np.float64(0.3)), np.exp(0.3j)
+        assert got.shape == () and got.dtype == complex
+        np.testing.assert_array_max_ulp(got.real, ref.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, ref.imag, maxulp=1)

@@ -69,6 +69,18 @@ def make_pumped_trace(scene, n=2401):
     return ComplexTrace(freq, vals * bg.evaluate(TWO_PI * freq)), fixed
 
 
+def lstsq_bare_seed(omega, s, center, width):
+    """``fitting._bare_seed`` with its two-unknown Levy problem solved by
+    :func:`numpy.linalg.lstsq`: the reference for its closed form."""
+    d = s - 1.0
+    (u, c), *_ = np.linalg.lstsq(np.column_stack([d, np.ones_like(d)]),
+                                 -2j * (omega - center) * d, rcond=None)
+    kappa, ke = u.real, 0.5 * abs(c)
+    if kappa > 0 and 0 < ke < kappa:
+        return np.array([center - 0.5 * u.imag, kappa - ke, ke, np.angle(c)])
+    return np.array([center, 0.5 * width, 0.5 * width, 0.0])
+
+
 def engine_calls(monkeypatch, fit, *args, **kwargs):
     """Run ``fit(*args, **kwargs)``; returns the (residual, x0) of each of its
     engine calls."""
@@ -282,6 +294,38 @@ class TestFitResonanceBare:
         for seed in range(10):
             fit = fit_resonance(criterion_6_trace(par, seed))
             assert fit.converged and fit.iterations <= 3, (seed, fit.iterations)
+
+    @pytest.mark.parametrize("par", [HF_SET, LF_SET], ids=["hf", "lf"])
+    def test_closed_form_seed_matches_lstsq(self, monkeypatch, par):
+        # both seed solves of each criterion-6 fit, on the inputs the fit
+        # hands them: the resonance seed and the one after the refresh
+        from photonpressure import fitting
+
+        original = fitting._bare_seed
+        inputs = []
+        monkeypatch.setattr(fitting, "_bare_seed",
+                            lambda *args: inputs.append(args) or original(*args))
+        for seed in range(10):
+            fit_resonance(criterion_6_trace(par, seed))
+        assert len(inputs) == 20
+        for args in inputs:
+            closed, ref = original(*args), lstsq_bare_seed(*args)
+            assert ref[3] != 0.0  # not the fallback
+            assert abs(closed[0] - ref[0]) <= 1e-12 * (ref[1] + ref[2])
+            np.testing.assert_allclose(closed[1:], ref[1:], rtol=1e-12)
+
+    @pytest.mark.parametrize("kappa, ke", [(-1.0, 0.3), (1.0, 2.0)],
+                             ids=["kappa-negative", "ke-above-kappa"])
+    def test_closed_form_seed_falls_back_like_lstsq(self, kappa, ke):
+        # a response the rates cannot make seeds at the dip's center with
+        # the width shared equally by the two rates
+        from photonpressure.fitting import _bare_seed
+
+        omega = np.linspace(-4.0, 4.0, 101)
+        s = 1.0 - 2.0 * ke / (kappa + 2j * (omega - 0.2))
+        np.testing.assert_array_equal(_bare_seed(omega, s, 0.0, 1.5), [0.0, 0.75, 0.75, 0.0])
+        np.testing.assert_array_equal(lstsq_bare_seed(omega, s, 0.0, 1.5),
+                                      [0.0, 0.75, 0.75, 0.0])
 
     def test_phase_offset_wrapped_like_background(self):
         # a background phase just inside pi, turning by 3 rad over the span:

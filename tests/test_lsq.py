@@ -28,6 +28,26 @@ def cost_spy(residual):
     return spied, costs
 
 
+def shared_buffer(residual):
+    """``residual`` with each thunk refilling one (n, m) buffer, shared by
+    every thunk, and returning its transpose, as the resonance fit's do."""
+    buffer = []
+
+    def shared(p):
+        r, thunk = residual(p)
+
+        def refill():
+            jac = thunk()
+            if not buffer:
+                buffer.append(np.empty(jac.T.shape, jac.dtype))
+            buffer[0][...] = jac.T
+            return buffer[0].T
+
+        return r, refill
+
+    return shared
+
+
 def rosenbrock(p):
     return np.array([10 * (p[1] - p[0] ** 2), 1 - p[0]])
 
@@ -246,3 +266,28 @@ class TestAnalyticJacobian:
         assert costs[-1] == pytest.approx(result.residual_norm ** 2, rel=1e-12)
         assert np.array_equal(calls[thunks[0][1]], [-1.2, 1.0])
         assert np.array_equal(calls[thunks[-1][1]], result.params)
+
+    @pytest.mark.parametrize("x0, rejects", [([1.0, 0.0, 0.0], True),
+                                             ([1.5, 2.5, 0.7], False)],
+                             ids=["rejected-tries", "no-rejected-tries"])
+    def test_thunks_may_refill_one_buffer(self, x0, rejects):
+        # the engine reads each Jacobian before its next thunk call, so a
+        # residual whose thunks refill one shared array fits as one whose
+        # thunks return fresh arrays
+        x = np.linspace(0, 1, 60)
+        rng = np.random.default_rng(5)
+        data = 1.5 * np.exp(2.5j * x - 0.7 * x) + 0.01 * (rng.standard_normal(60)
+                                                          + 1j * rng.standard_normal(60))
+
+        def residual(p):
+            e = np.exp((1j * p[1] - p[2]) * x)
+            return p[0] * e - data, lambda: np.column_stack([e, 1j * x * p[0] * e,
+                                                             -x * p[0] * e])
+
+        fresh = least_squares(residual, np.array(x0))
+        shared = least_squares(shared_buffer(residual), np.array(x0))
+        assert fresh.converged and shared.converged
+        assert (fresh.evaluations > fresh.iterations + 1) == rejects
+        np.testing.assert_array_equal(shared.params, fresh.params)
+        np.testing.assert_array_equal(shared.uncertainties, fresh.uncertainties)
+        assert (shared.iterations, shared.evaluations) == (fresh.iterations, fresh.evaluations)
