@@ -33,9 +33,8 @@ from . import dynamics
 from .constants import hbar
 from .errors import ConfigError, ConvergenceError, DomainError, PhotonPressureError
 from .presets import need, preset as load_preset
-from .synth import (background_from, background_params, cavity_linewidth,
-                    detection_from, noise_from, probed_resonance, pump_detuning,
-                    pump_sideband, synth_psd, synth_s11)
+from .synth import (background_from, cavity_linewidth, detection_from, noise_from,
+                    probed_resonance, pump_detuning, pump_sideband, synth_psd, synth_s11)
 from .traces import (SpectrumTrace, read_complex_trace, read_params,
                      read_points, read_spectrum_trace, write_columns,
                      write_complex_trace, write_params, write_spectrum_trace)
@@ -98,6 +97,8 @@ def parse_grid(spec: str, default=None):
         raise ConfigError(f"bad --grid value: {exc}") from None
     if points < 2:
         raise ConfigError("--grid needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid {spec!r} needs a finite start and stop")
     if not start < stop:
         raise ConfigError("--grid needs start < stop")
     return np.linspace(start, stop, points)
@@ -278,10 +279,7 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         raise ConvergenceError(
             f"fit did not converge after {fit.iterations} iterations: {fit.message}")
-    report = fit.as_dict()
-    if "background" in fit.extras:
-        report.update(background_params(fit.extras["background"]))
-    write_params(args.out, report)  # checks the report before writing either file
+    write_params(args.out, fit.as_dict())  # checks the report before writing either file
     if args.out and "corrected_trace" in fit.extras:
         write_complex_trace(str(args.out) + ".trace", fit.extras["corrected_trace"])
     return EXIT_OK

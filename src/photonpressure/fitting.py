@@ -33,7 +33,9 @@ a complex reflection trace on top of a slowly varying instrumental background:
    it.  As this is the only nonlinear fit, the result's iterations,
    evaluations and message describe it whole.
 
-The returned result's extras carry the fitted background
+Its background parameters carry the ``background.*`` names that
+:func:`synth.background_from` reads back (theta is ``circle_rotation``), and
+its extras ``background.reference_frequency``, the fitted background
 (``extras["background"]``) and a background-corrected trace (divided by the
 background, rotation removed).  The other entry points fit Lorentzian
 spectra, backaction curves and the flux arch (evaluating the arch model of
@@ -195,10 +197,10 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     """Background-corrected fit of a complex reflection trace.
 
     ``model`` selects the resonance term: "bare" fits (omega0, kappa_i,
-    kappa_e, theta); "pumped" fits (omega0, kappa_i, g, lf_frequency, theta)
-    with fixed ``pumped = {"kappa_e": ..., "gamma0": ..., "detuning": ...}``.
-    The result's extras hold the fitted background, the corrected trace and,
-    for convenience, the total linewidth.
+    kappa_e), "pumped" (omega0, kappa_i, g, lf_frequency) with fixed
+    ``pumped = {"kappa_e": ..., "gamma0": ..., "detuning": ...}``, each with
+    the rotation theta and the four background.* lines.  The extras hold the
+    fitted background, the corrected trace and, for "bare", the linewidth.
     """
     _require_points(len(trace))
     if model not in ("bare", "pumped"):
@@ -244,7 +246,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     # resonance_jac(pars, state, bg, out) turns into its complex columns,
     # times the background bg, written into the rows of out
     if model == "bare":
-        res_names = ("omega0", "kappa_i", "kappa_e", "theta")
+        res_names = ("omega0", "kappa_i", "kappa_e", "background.circle_rotation")
         res_ref = np.array([center0, 0.0, 0.0, 0.0])
         res_scale = np.array([width0, width0, width0, 1.0])
         res0 = _bare_seed(omega[near], corrected[near], center0, width0)
@@ -285,7 +287,7 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
         # two resolved hybrid-mode dips each have the width (kappa + gamma0)/2
         kappa0 = 2.0 * width0 - gamma0_fix if 2.0 * g0_guess > width0 else width0
         g_scale, lf_scale = max(width0, g0_guess), max(width0, gamma0_fix)
-        res_names = ("omega0", "kappa_i", "g", "lf_frequency", "theta")
+        res_names = ("omega0", "kappa_i", "g", "lf_frequency", "background.circle_rotation")
         res_ref = np.array([center0, 0.0, 0.0, lf_guess, 0.0])
         res_scale = np.array([width0, width0, g_scale, lf_scale, 1.0])
         res0 = np.array([center0, max(kappa0 - ke_fix, 0.05 * width0), g0_guess,
@@ -340,8 +342,8 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
                           center0, width0)
 
     # joint fit of resonance and background, seeded by the closed forms
-    names = res_names + ("amplitude_offset", "amplitude_slope",
-                         "phase_offset", "phase_slope")
+    names = res_names + ("background.amplitude_offset", "background.amplitude_slope",
+                         "background.phase_offset", "background.phase_slope")
     ref = np.concatenate([res_ref, [0.0, 0.0, 0.0, 0.0]])
     scale = np.concatenate([res_scale, [1.0, 1.0 / span, 1.0, 1.0 / span]])
     phys0 = np.concatenate([res0, [bg0.amplitude_offset, bg0.amplitude_slope,
@@ -386,15 +388,16 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
     for i, name in enumerate(names):
         if name in ("kappa_i", "kappa_e", "g", "lf_frequency"):
             pars[i] = abs(pars[i])
-        elif name in ("theta", "phase_offset"):
+        elif name in ("background.circle_rotation", "background.phase_offset"):
             pars[i] = _wrap_angle(pars[i])
-    background = BackgroundModel(*(float(v) for v in pars[n_res:]),
-                                 circle_rotation=float(pars[names.index("theta")]),
-                                 reference_frequency=w_ref)
+    background = BackgroundModel(reference_frequency=w_ref, **{
+        name.removeprefix("background."): float(v)
+        for name, v in zip(names, pars) if name.startswith("background.")})
 
     final = values / background.evaluate(omega)
     final = 1.0 - (1.0 - final) * np.exp(-1j * background.circle_rotation)
     fit.extras["background"] = background
+    fit.extras["background.reference_frequency"] = w_ref
     fit.extras["corrected_trace"] = ComplexTrace(trace.frequency_hz, final)
     if model == "bare":
         fit.extras["kappa"] = float(pars[1] + pars[2])

@@ -49,10 +49,11 @@ class FitResult:
     """Outcome of a least-squares fit.
 
     ``params`` follows the order of the initial guess; ``names`` (set by the
-    model-level wrappers) allows lookup through :meth:`value` and keys
-    :meth:`as_dict`, uncertainties as ``<name>_err``.  ``extras`` carries
-    model-specific products such as derived parameters, a fitted
-    background (``extras["background"]``) or a corrected trace.
+    model-level wrappers) allows lookup through :meth:`value`.  :meth:`as_dict`
+    is the whole fit report: each name with its ``<name>_err``, the record
+    (``residual_norm``, ``iterations``, ``evaluations``, ``message``,
+    ``converged``) and the numeric ``extras``, which also carry model products
+    such as a fitted background (``extras["background"]``) or a corrected trace.
     """
 
     params: np.ndarray
@@ -76,6 +77,8 @@ class FitResult:
         out.update({f"{n}_err": float(u) for n, u in zip(self.names, self.uncertainties)})
         out["residual_norm"] = self.residual_norm
         out["iterations"] = self.iterations
+        out["evaluations"] = self.evaluations
+        out["message"] = self.message
         out["converged"] = self.converged
         for key, value in self.extras.items():
             if isinstance(value, (int, float)):

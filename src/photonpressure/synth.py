@@ -20,7 +20,7 @@ to generate in parallel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 __all__ = ["NoiseSpec", "make_rng", "synth_s11", "synth_psd", "pump_sideband",
            "pump_detuning", "cavity_linewidth", "probed_resonance", "lf_occupation",
-           "background_from", "background_params", "noise_from", "detection_from"]
+           "background_from", "noise_from", "detection_from"]
 
 _NOISE_KINDS = ("none", "additive-complex-gaussian", "multiplicative-gaussian")
 
@@ -118,11 +118,6 @@ def background_from(params: dict, model: str) -> BackgroundModel | None:
     defaults["reference_frequency"] = need(params, probed_resonance(params, model))
     return BackgroundModel(**{name: need(params, f"background.{name}", value)
                               for name, value in defaults.items()})
-
-
-def background_params(background: BackgroundModel) -> dict:
-    """The keys :func:`background_from` reads back as ``background``."""
-    return {f"background.{name}": value for name, value in asdict(background).items()}
 
 
 def noise_from(params: dict, seed: int) -> NoiseSpec | None:

@@ -15,6 +15,7 @@ import photonpressure
 from photonpressure.cli import main
 from photonpressure.fitting import fit_lorentzian, fit_resonance
 from photonpressure.squid import SquidSpec, squid_frequency
+from photonpressure.synth import make_rng
 from photonpressure.traces import read_complex_trace, read_points, read_spectrum_trace
 
 TWO_PI = 2 * math.pi
@@ -107,6 +108,19 @@ class TestExitCodes:
         assert err.startswith("domain error: ") and err.count("\n") == 1
         assert "no dip" in err
         assert not out.exists() and not Path(f"{out}.trace").exists()
+
+    @pytest.mark.parametrize("argv, grid", [
+        (["respond", "--preset", "strong_coupling_D", "--grid=-inf:1:5"], "-inf:1:5"),
+        (["backaction", "--preset", "backaction", "--grid=-inf:0:3"], "-inf:0:3"),
+        (["sweep", "--preset", "strong_coupling_D",
+          "--outer", "drive.sideband_offset:-inf:1:3"], "-inf:1:3"),
+    ], ids=["respond", "backaction", "sweep"])
+    def test_grid_end_not_finite_is_config_error(self, tmp_path, capsys, argv, grid):
+        out = tmp_path / "out.dat"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and grid in err, err
+        assert not out.exists()
 
     def test_module_run_prints_one_line(self, tmp_path):
         # as a program, numpy's warnings about the NaN row would reach stderr too
@@ -448,8 +462,8 @@ class TestFitRoundTrips:
         assert run(*argv, *background, "--out", str(clean)) == 0
         assert run("fit", str(noisy), "--model", "bare", "--out", str(report_path)) == 0
         report = json.loads(report_path.read_text())
-        assert abs(report["theta"] - 0.1) < 3 * report["theta_err"]
-        assert report["background.circle_rotation"] == report["theta"]
+        assert (abs(report["background.circle_rotation"] - 0.1)
+                < 3 * report["background.circle_rotation_err"])
         assert run(*argv, "--params", str(report_path), "--out", str(again)) == 0
         reproduced = read_complex_trace(again).values
         assert np.abs(reproduced - read_complex_trace(noisy).values).max() < 6 * sigma
@@ -533,6 +547,51 @@ class TestFitRoundTrips:
         report = json.loads(report_path.read_text())
         assert report["g"] == pytest.approx(TWO_PI * 24.6e3, rel=1e-3)
         assert report["kappa_eff"] == pytest.approx(TWO_PI * 110e3, rel=1e-6)
+
+
+def noisy_fit_input(model, path):
+    """Write a noisy input for ``fit --model model`` to ``path``; returns the
+    fit's own arguments."""
+    seed = ["--seed", "7", "--out", str(path)]
+    if model in ("bare", "pumped"):
+        preset, sigma = ("hf_fit", 0.01) if model == "bare" else ("strong_coupling_B", 5e-4)
+        assert run("synth", "--model", model, "--preset", preset,
+                   "--set", "noise.kind=additive-complex-gaussian",
+                   "--set", f"noise.sigma={sigma}", *seed) == 0
+        return ["--preset", preset]
+    if model == "lorentzian":
+        assert run("psd", "--preset", "ppia", "--set", "thermal.n_th=4",
+                   "--set", "noise.kind=multiplicative-gaussian", "--set", "noise.sigma=0.03",
+                   *seed) == 0
+    elif model == "backaction":
+        assert run("backaction", "--preset", "backaction", "--out", str(path)) == 0
+        _, data = read_points(path, n_columns=3)
+        data[:, 1:] += 200.0 * make_rng(7).standard_normal(data[:, 1:].shape)
+        np.savetxt(path, data)
+    else:
+        path.write_bytes((Path(__file__).parent / "flux_arch.dat").read_bytes())
+    return []
+
+
+@pytest.mark.parametrize("model", ["bare", "pumped", "lorentzian", "flux_arch", "backaction"])
+def test_fit_report_schema(tmp_path, model):
+    # each value once, the engine's record, and for a resonance fit the
+    # background under the background.* keys that --params reads back
+    data, out = tmp_path / "in.dat", tmp_path / "report.json"
+    fit_args = noisy_fit_input(model, data)
+    assert run("fit", str(data), "--model", model, *fit_args, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    floats = [v for v in report.values() if isinstance(v, float)]
+    assert len({v.hex() for v in floats}) == len(floats), report
+    assert report["evaluations"] >= report["iterations"] + 1
+    assert isinstance(report["message"], str) and report["message"]
+    if model in ("bare", "pumped"):
+        fields = ("amplitude_offset", "amplitude_slope", "phase_offset", "phase_slope",
+                  "circle_rotation")
+        assert {f"background.{f}" for f in fields + ("reference_frequency",)} <= set(report)
+        assert {f"background.{f}_err" for f in fields} <= set(report)
+        undotted = {*fields, "reference_frequency", "theta"}
+        assert not [key for key in report if key.removesuffix("_err") in undotted]
 
 
 class TestSimulationCommands:

@@ -181,7 +181,7 @@ class TestFitResonanceBare:
         assert abs(fit.value("omega0") - par["omega0"]) / par["omega0"] < 1e-8
         assert abs(fit.value("kappa_i") - par["kappa_i"]) / par["kappa_i"] < 1e-3
         assert abs(fit.value("kappa_e") - par["kappa_e"]) / par["kappa_e"] < 1e-3
-        assert fit.value("theta") == pytest.approx(0.15, abs=1e-6)
+        assert fit.value("background.circle_rotation") == pytest.approx(0.15, abs=1e-6)
         assert fit.extras["background"].amplitude_offset == pytest.approx(0.93, abs=1e-6)
 
     def test_identity_background_exact_recovery(self):
@@ -252,10 +252,12 @@ class TestFitResonanceBare:
         assert len(costs) == fit.iterations + 1
         assert np.all(np.diff(costs) <= 0)
         assert costs[-1] == pytest.approx(fit.residual_norm ** 2, rel=1e-12)
-        params = ("omega0", "kappa_i", "kappa_e", "theta", "amplitude_offset",
-                  "amplitude_slope", "phase_offset", "phase_slope")
+        params = ("omega0", "kappa_i", "kappa_e", "background.circle_rotation",
+                  "background.amplitude_offset", "background.amplitude_slope",
+                  "background.phase_offset", "background.phase_slope")
         assert set(fit.as_dict()) == {*params, *(f"{n}_err" for n in params),
-                                      "residual_norm", "iterations", "converged", "kappa"}
+                                      "residual_norm", "iterations", "evaluations", "message",
+                                      "converged", "kappa", "background.reference_frequency"}
 
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
         freq = np.linspace(5.8432e9, 5.8448e9, 601)
@@ -338,7 +340,7 @@ class TestFitResonanceBare:
         for seed in range(40):
             fit = fit_resonance(make_bare_trace(HF_SET, n=1201, background=bg,
                                                 sigma=0.01, seed=seed))
-            phase = fit.value("phase_offset")
+            phase = fit.value("background.phase_offset")
             assert -math.pi <= phase < math.pi, (seed, phase)
             assert phase == fit.extras["background"].phase_offset, seed
 

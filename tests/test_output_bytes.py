@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -188,8 +189,6 @@ def test_outputs_match_table(outputs, check):
 
 
 def write_table() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as workdir:
         outputs = run_commands(Path(workdir))
     table = dict(platform_tag(), outputs={name: entry(name, data)
