@@ -9,12 +9,12 @@ Subpackage map:
 - :mod:`photonpressure.noise` - sideband-pump spectra and calibration
 - :mod:`photonpressure.fitting` - trace fits (engine in :mod:`.lsq`)
 - :mod:`photonpressure.synth` - synthetic traces with background and noise
-- :mod:`photonpressure.presets` - device parameter sets
+- :mod:`photonpressure.presets` - device parameter sets, each read by a command
 - :mod:`photonpressure.cli` - command-line front end
 
-The submodules and ``experiment_presets`` load on first attribute access
-(PEP 562), so ``import photonpressure`` loads no numpy, and each command
-loads only the modules it runs.
+The submodules load on first attribute access (PEP 562), so
+``import photonpressure`` loads no numpy, and each command loads only the
+modules it runs.
 """
 
 import sys
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _SUBMODULES = ("circuit", "constants", "dynamics", "errors", "fitting", "lsq",
                "noise", "presets", "squid", "synth", "traces")
 
-__all__ = [*_SUBMODULES, "experiment_presets", "__version__"]
+__all__ = [*_SUBMODULES, "__version__"]
 
 
 def __getattr__(name):
@@ -33,7 +33,4 @@ def __getattr__(name):
         # is what ``python -X importtime`` reports
         __import__(f"{__name__}.{name}")
         return sys.modules[f"{__name__}.{name}"]
-    if name == "experiment_presets":
-        from .presets import experiment_presets
-        return experiment_presets
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

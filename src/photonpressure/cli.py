@@ -83,24 +83,24 @@ def build_config(args) -> dict:
     return cfg
 
 
-def parse_grid(spec: str, default=None):
+def parse_grid(spec: str, option: str, default=None):
+    """``START:STOP:POINTS`` as an evenly spaced grid, ``default`` if ``spec``
+    is None; the messages name ``option``, the flag that gave ``spec``."""
     if spec is None:
-        if default is None:
-            raise ConfigError("a --grid START:STOP:POINTS is required")
         return default
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--grid expects START:STOP:POINTS, got {spec!r}")
+        raise ConfigError(f"{option} expects START:STOP:POINTS, got {spec!r}")
     try:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"bad --grid value: {exc}") from None
+        raise ConfigError(f"bad {option} value: {exc}") from None
     if points < 2:
-        raise ConfigError("--grid needs at least 2 points")
+        raise ConfigError(f"{option} needs at least 2 points")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"grid {spec!r} needs a finite start and stop")
+        raise ConfigError(f"{option} {spec!r} needs a finite start and stop")
     if not start < stop:
-        raise ConfigError("--grid needs start < stop")
+        raise ConfigError(f"{option} needs start < stop")
     return np.linspace(start, stop, points)
 
 
@@ -116,7 +116,7 @@ def _probe_grid(args, cfg: dict, model: str = "pumped"):
     """``--grid``, else ``--points`` around the probed resonance, built only then:
     +-200 kHz around lf.omega0, +-2 MHz around hf.omega0."""
     if args.grid is not None:
-        return parse_grid(args.grid)
+        return parse_grid(args.grid, "--grid")
     key = probed_resonance(cfg, model)
     center, half = need(cfg, key) / TWO_PI, (2e5 if key == "lf.omega0" else 2e6)
     return np.linspace(center - half, center + half, args.points)
@@ -212,7 +212,7 @@ def cmd_backaction(args) -> int:
     g = need(cfg, "drive.g")
     kappa_eff = need(cfg, "drive.kappa_eff")
     sideband = pump_sideband(cfg)
-    grid = parse_grid(args.grid, np.linspace(-3e5, 3e5, args.points))
+    grid = parse_grid(args.grid, "--grid", np.linspace(-3e5, 3e5, args.points))
     ba = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, sideband)
     write_columns(args.out, [grid, ba.frequency_shift / TWO_PI, ba.damping_shift / TWO_PI],
                   {"columns": "offset_hz frequency_shift_hz damping_shift_hz",
@@ -222,7 +222,7 @@ def cmd_backaction(args) -> int:
 
 def cmd_nms(args) -> int:
     cfg = build_config(args)
-    grid = parse_grid(args.grid, np.linspace(0.0, 6e5, args.points))
+    grid = parse_grid(args.grid, "--grid", np.linspace(0.0, 6e5, args.points))
     modes = dynamics.normal_modes(TWO_PI * grid, cavity_linewidth(cfg),
                                   need(cfg, "lf.gamma0"), need(cfg, "lf.omega0"))
     columns = [grid, modes.upper.real / TWO_PI, modes.lower.real / TWO_PI,
@@ -237,7 +237,7 @@ def cmd_psd(args) -> int:
     detection = detection_from(cfg)
     peak = (need(cfg, "hf.omega0") + pump_detuning(cfg, "blue")
             - need(cfg, "lf.omega0")) / TWO_PI
-    grid = parse_grid(args.grid, peak + np.linspace(-1.5e5, 1.5e5, args.points))
+    grid = parse_grid(args.grid, "--grid", peak + np.linspace(-1.5e5, 1.5e5, args.points))
     trace = synth_psd(cfg, grid, detection, noise=noise_from(cfg, args.seed))
     omega0 = need(cfg, "hf.omega0")
     if args.units == "photon":
@@ -305,7 +305,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--outer expects KEY:START:STOP:POINTS")
     if any(entry.startswith(key + "=") for entry in (args.set or [])):
         raise ConfigError(f"axis collision: {key!r} is both swept and set")
-    outer = parse_grid(grid_part)
+    outer = parse_grid(grid_part, "--outer")
     probe = _probe_grid(args, cfg)
 
     rows = []

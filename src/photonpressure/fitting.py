@@ -215,8 +215,6 @@ def fit_resonance(trace: ComplexTrace, model: str = "bare", *,
 
     center0, width0 = _initial_dip(omega, np.abs(values))
     span = omega[-1] - omega[0]
-    if span < 5.0 * width0:
-        raise DomainError("trace must span at least 5 estimated linewidths")
 
     # background from the off-resonant baseline, read against the line
     # through the unwrapped phase of its longer run: an overcoupled dip winds

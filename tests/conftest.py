@@ -23,6 +23,6 @@ settings.load_profile("default")
 
 @pytest.fixture(scope="session")
 def presets():
-    from photonpressure.presets import experiment_presets
+    from photonpressure.presets import _PRESETS, preset
 
-    return experiment_presets()
+    return {name: preset(name) for name in _PRESETS}

@@ -109,17 +109,22 @@ class TestExitCodes:
         assert "no dip" in err
         assert not out.exists() and not Path(f"{out}.trace").exists()
 
-    @pytest.mark.parametrize("argv, grid", [
-        (["respond", "--preset", "strong_coupling_D", "--grid=-inf:1:5"], "-inf:1:5"),
-        (["backaction", "--preset", "backaction", "--grid=-inf:0:3"], "-inf:0:3"),
+    @pytest.mark.parametrize("argv, option, detail", [
+        (["respond", "--preset", "strong_coupling_D", "--grid=-inf:1:5"], "--grid", "-inf:1:5"),
+        (["backaction", "--preset", "backaction", "--grid=-inf:0:3"], "--grid", "-inf:0:3"),
         (["sweep", "--preset", "strong_coupling_D",
-          "--outer", "drive.sideband_offset:-inf:1:3"], "-inf:1:3"),
-    ], ids=["respond", "backaction", "sweep"])
-    def test_grid_end_not_finite_is_config_error(self, tmp_path, capsys, argv, grid):
+          "--outer", "drive.sideband_offset:-inf:1:3"], "--outer", "-inf:1:3"),
+        (["sweep", "--preset", "strong_coupling_D",
+          "--outer", "drive.sideband_offset:1:0:3"], "--outer", "start < stop"),
+        (["sweep", "--preset", "strong_coupling_D",
+          "--outer", "drive.sideband_offset:0:1:1"], "--outer", "at least 2 points"),
+    ], ids=["respond", "backaction", "sweep", "sweep-reversed", "sweep-one-point"])
+    def test_grid_end_not_finite_is_config_error(self, tmp_path, capsys, argv, option, detail):
+        # the message names the option that gave the grid
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and grid in err, err
+        assert err.startswith(f"configuration error: {option} ") and detail in err, err
         assert not out.exists()
 
     def test_module_run_prints_one_line(self, tmp_path):
@@ -784,7 +789,7 @@ def test_table_command_loads_neither_noise_nor_json(tmp_path, argv):
 def test_package_import_loads_no_numpy():
     # the submodules load on first access
     code = ("import sys, photonpressure as pp; bare = sorted(sys.modules); "
-            "pp.fitting.fit_resonance, pp.experiment_presets(); "
+            "pp.fitting.fit_resonance, pp.presets.preset('lf'); "
             "print(' '.join(m for m in bare if m.split('.')[0] in ('numpy', 'photonpressure'))); "
             "print(' '.join(m for m in sys.modules if m.startswith('photonpressure.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
