@@ -72,11 +72,7 @@ def build_config(args) -> dict:
     """--preset, then --params, then all --set entries as one layer."""
     cfg: dict = {}
     if args.preset:
-        try:
-            preset = load_preset(args.preset)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from None
-        apply_layer(cfg, preset)
+        apply_layer(cfg, load_preset(args.preset))
     if args.params:
         apply_layer(cfg, read_params(args.params))
     apply_layer(cfg, dict(_parse_set(entry) for entry in args.set or []))
@@ -132,29 +128,26 @@ def cmd_params(args) -> int:
     report: dict = {}
 
     if "geometry.plate_area" in cfg:
-        spec = circuit.LumpedResonatorSpec(
+        c_lf = circuit.parallel_plate_capacitance(
             plate_area=need(cfg, "geometry.plate_area"),
             dielectric_thickness=need(cfg, "geometry.dielectric_thickness"),
-            relative_permittivity=need(cfg, "geometry.relative_permittivity"),
-            coupling_capacitance=need(cfg, "geometry.coupling_capacitance"),
-            feedline_impedance=need(cfg, "geometry.feedline_impedance", 50.0),
-        )
-        lf = circuit.derive_resonator(spec, need(cfg, "geometry.lf_frequency"))
-        report["lf.capacitance"] = lf.total_capacitance
-        report["lf.inductance"] = lf.total_inductance
-        report["lf.external_rate"] = lf.external_rate
-        report["lf.zero_point_current"] = circuit.zero_point_current(
-            lf.total_inductance, lf.resonance_frequency)
+            relative_permittivity=need(cfg, "geometry.relative_permittivity"))
+        c_coupling = need(cfg, "geometry.coupling_capacitance")
+        omega_lf = need(cfg, "geometry.lf_frequency")
+        l_lf = circuit.infer_inductance(omega_lf, c_lf + c_coupling)
+        report["lf.capacitance"] = c_lf
+        report["lf.inductance"] = l_lf
+        report["lf.external_rate"] = circuit.external_linewidth(
+            need(cfg, "geometry.feedline_impedance", 50.0), c_coupling, l_lf, c_lf)
+        report["lf.zero_point_current"] = circuit.zero_point_current(l_lf, omega_lf)
 
     if "idc.finger_count" in cfg:
-        idc = circuit.IdcSpec(
+        c_single = circuit.idc_capacitance(
             finger_count=_count(cfg, "idc.finger_count"),
             finger_length=need(cfg, "idc.finger_length"),
             finger_width=need(cfg, "idc.finger_width"),
             gap_width=need(cfg, "idc.gap_width"),
-            effective_permittivity=need(cfg, "idc.effective_permittivity"),
-        )
-        c_single = circuit.idc_capacitance(idc)
+            effective_permittivity=need(cfg, "idc.effective_permittivity"))
         c_total = c_single * _count(cfg, "idc.parallel_count", 1)
         c_coupling = need(cfg, "idc.coupling_capacitance", 0.0)
         omega_hf = need(cfg, "idc.hf_frequency")

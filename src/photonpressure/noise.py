@@ -30,7 +30,6 @@ __all__ = [
     "DetectionChain",
     "hemt_noise_power_dbm",
     "bose_occupation",
-    "effective_added_photons",
     "psd_blue_pump",
     "psd_on_sideband",
     "current_psd",
@@ -61,8 +60,10 @@ class DetectionChain:
 
     @property
     def effective_added_photons(self) -> float:
-        """Added photons referred to the cavity output through the link."""
-        return effective_added_photons(self.hemt_added_photons, self.output_efficiency)
+        """Added photons referred to the cavity output through the lossy link:
+        n/eta + (1-eta)/(2 eta)."""
+        n_add, efficiency = self.hemt_added_photons, self.output_efficiency
+        return n_add / efficiency + (1.0 - efficiency) / (2.0 * efficiency)
 
 
 def hemt_noise_power_dbm(noise_temperature: float, bandwidth: float) -> float:
@@ -87,15 +88,6 @@ def bose_occupation(frequency, temperature: float):
     else:
         out = 1.0 / np.expm1(hbar * om / (k_B * temperature))
     return out if out.ndim else float(out)
-
-
-def effective_added_photons(n_add: float, efficiency: float) -> float:
-    """Added noise referred through a lossy link: n/eta + (1-eta)/(2 eta)."""
-    if not 0 < efficiency <= 1:
-        raise DomainError("efficiency must lie in (0, 1]")
-    if n_add < 0:
-        raise DomainError("added photons must be >= 0")
-    return n_add / efficiency + (1.0 - efficiency) / (2.0 * efficiency)
 
 
 def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,

@@ -121,11 +121,12 @@ _PRESETS: dict[str, dict] = {
 
 
 def preset(name: str) -> dict:
-    """One preset by name; raises ``KeyError`` listing the catalog."""
+    """One preset by name; an unknown name is a :class:`ConfigError` listing the
+    catalog."""
     try:
         return dict(_PRESETS[name])
     except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}") from None
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}") from None
 
 
 def need(params: dict, key: str, default=None) -> float:

@@ -34,13 +34,21 @@ __all__ = [
 ]
 
 
-def _check_grid(freq):
-    freq = np.asarray(freq, dtype=float)
+def _check_trace(trace, dtype) -> None:
+    """Check a trace's grid and values and store them as arrays, the values
+    as ``dtype``."""
+    freq = np.asarray(trace.frequency_hz, dtype=float)
     if freq.ndim != 1 or freq.size < 2:
         raise DomainError("frequency grid must be a 1-D array with >= 2 points")
     if not np.all(np.diff(freq) > 0):
         raise DomainError("frequency grid must be strictly increasing")
-    return freq
+    vals = np.asarray(trace.values, dtype=dtype)
+    if vals.shape != freq.shape:
+        raise DomainError("values must match the frequency grid")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("trace values must be finite")
+    object.__setattr__(trace, "frequency_hz", freq)
+    object.__setattr__(trace, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -51,14 +59,7 @@ class ComplexTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        freq = _check_grid(self.frequency_hz)
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != freq.shape:
-            raise DomainError("values must match the frequency grid")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("trace values must be finite")
-        object.__setattr__(self, "frequency_hz", freq)
-        object.__setattr__(self, "values", vals)
+        _check_trace(self, complex)
 
     def __len__(self):
         return self.frequency_hz.size
@@ -73,14 +74,7 @@ class SpectrumTrace:
     units: str = "photon"
 
     def __post_init__(self):
-        freq = _check_grid(self.frequency_hz)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != freq.shape:
-            raise DomainError("values must match the frequency grid")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("trace values must be finite")
-        object.__setattr__(self, "frequency_hz", freq)
-        object.__setattr__(self, "values", vals)
+        _check_trace(self, float)
 
     def __len__(self):
         return self.frequency_hz.size

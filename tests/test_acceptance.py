@@ -21,8 +21,8 @@ from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
 from photonpressure.noise import (DetectionChain, backaction_free,
-                                  bose_occupation, effective_added_photons,
-                                  extract_current_psd, hemt_noise_power_dbm,
+                                  bose_occupation, extract_current_psd,
+                                  hemt_noise_power_dbm,
                                   thermal_photons_from_peak)
 from photonpressure.presets import preset
 from photonpressure.squid import (SquidSpec, flux_responsivity,
@@ -256,9 +256,9 @@ def _noise_pipeline(scene, detection, n_th_true, seed, sigma):
 def test_criterion_5_noise_chain():
     start = time.time()
     hemt = hemt_noise_power_dbm(5.5, 200.0)
-    n_add = effective_added_photons(20.0, 0.7)
     scene = preset("ppia")
     detection = DetectionChain(5.5, 20.0, 0.7, 1e7, 200.0, -61.0)
+    n_add = detection.effective_added_photons
 
     n_lf_true, n_lf_rec, _ = _noise_pipeline(scene, detection, 4.0, 0, 0.0)
     clean_err = rel(n_lf_rec, n_lf_true)

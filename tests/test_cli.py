@@ -34,8 +34,9 @@ def package_env():
 
 
 class TestExitCodes:
-    def test_unknown_preset_is_config_error(self, tmp_path):
+    def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         assert run("respond", "--preset", "nope", "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith("configuration error: unknown preset 'nope'")
 
     def test_bad_flag_is_config_error(self):
         assert run("respond", "--frobnicate") == 2
@@ -153,6 +154,27 @@ class TestExitCodes:
         assert run("params", "--preset", "geometry",
                    "--set", "squid.gamma_l=5.0",
                    "--out", str(tmp_path / "x")) == 4
+
+    @pytest.mark.parametrize("setting, message", [
+        ("geometry.plate_area=-1", "plate area must be positive"),
+        ("geometry.dielectric_thickness=0", "dielectric thickness must be positive"),
+        ("geometry.relative_permittivity=0.5", "relative permittivity must be >= 1"),
+        ("geometry.coupling_capacitance=-1e-15", "coupling capacitance must be >= 0"),
+        ("geometry.feedline_impedance=0",
+         "impedance, inductance and capacitance must be positive"),
+        ("idc.finger_count=2", "interdigitated capacitor needs at least 3 fingers"),
+        ("idc.gap_width=0", "finger dimensions must be positive"),
+        ("idc.effective_permittivity=0.9", "effective permittivity must be >= 1"),
+        ("idc.coupling_capacitance=-1e-15", "coupling capacitance must be >= 0"),
+    ], ids=["plate-area", "thickness", "permittivity", "coupling", "feedline",
+            "fingers", "gap", "idc-permittivity", "idc-coupling"])
+    def test_bad_geometry_is_domain_error(self, tmp_path, capsys, setting, message):
+        # each circuit function checks the inputs it uses
+        out = tmp_path / "out.json"
+        assert run("params", "--preset", "geometry", "--set", setting,
+                   "--out", str(out)) == 4
+        assert capsys.readouterr().err == f"domain error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("idc.finger_count", "90.5"), ("idc.parallel_count", "2.9"),

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from photonpressure.constants import hbar, k_B
 from photonpressure.errors import DomainError
 from photonpressure.noise import (DetectionChain, backaction_free,
-                                  bose_occupation, current_psd,
-                                  effective_added_photons, extract_current_psd,
+                                  bose_occupation, current_psd, extract_current_psd,
                                   hemt_noise_power_dbm, psd_blue_pump,
                                   psd_on_sideband, thermal_photons_from_peak)
 from photonpressure.traces import SpectrumTrace
@@ -54,22 +53,27 @@ class TestBoseOccupation:
             bose_occupation(TWO_PI * 391e6, -0.1)
 
 
+def added_photons(n_add, efficiency):
+    """``DetectionChain.effective_added_photons`` for one amplifier and link."""
+    return DetectionChain(5.5, n_add, efficiency, 1e7, 200.0).effective_added_photons
+
+
 class TestAddedPhotons:
     def test_quoted_chain(self):
-        n = effective_added_photons(20.0, 0.7)
+        n = added_photons(20.0, 0.7)
         assert n == pytest.approx(28.785714285714285, rel=1e-12)
         assert n == pytest.approx(29.0, rel=0.01)
 
     def test_lossless(self):
-        assert effective_added_photons(20.0, 1.0) == 20.0
+        assert added_photons(20.0, 1.0) == 20.0
 
     def test_pure_loss_half_photon(self):
-        assert effective_added_photons(0.0, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert added_photons(0.0, 0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_domain(self):
         for eta in (0.0, -0.1, 1.1):
             with pytest.raises(DomainError):
-                effective_added_photons(1.0, eta)
+                added_photons(1.0, eta)
 
 
 def ppia_kwargs(presets):
@@ -81,7 +85,7 @@ def ppia_kwargs(presets):
 
 
 class TestBluePumpPsd:
-    N_ADD = effective_added_photons(20.0, 0.7)
+    N_ADD = added_photons(20.0, 0.7)
 
     def test_flat_background_without_coupling(self, presets):
         kw = ppia_kwargs(presets)

@@ -34,7 +34,7 @@ class TestCatalog:
         assert (tmp_path / "out").stat().st_size > 0
 
     def test_unknown_preset_lists_catalog(self):
-        with pytest.raises(KeyError, match="available"):
+        with pytest.raises(ConfigError, match="available"):
             preset("nope")
 
     def test_copies_are_independent(self):
