@@ -85,11 +85,14 @@ def idc_capacitance(finger_count: int, finger_length: float, finger_width: float
     return (finger_count - 3) * c1 / 2.0 + 2.0 * c1 * c2 / (c1 + c2)
 
 
-def infer_inductance(frequency: float, capacitance: float) -> float:
-    """Inductance 1/(omega^2 C) that resonates with ``capacitance`` at ``frequency``."""
+def infer_inductance(frequency: float, capacitance: float, coupling_capacitance: float) -> float:
+    """Inductance 1/(omega^2 (C + Cc)) that resonates at ``frequency`` with ``capacitance``
+    and, in parallel, the ``coupling_capacitance`` to the feedline."""
     if frequency <= 0 or capacitance <= 0:
         raise DomainError("frequency and capacitance must be positive")
-    return 1.0 / (frequency * frequency * capacitance)
+    if coupling_capacitance < 0:
+        raise DomainError("coupling capacitance must be >= 0")
+    return 1.0 / (frequency * frequency * (capacitance + coupling_capacitance))
 
 
 def external_linewidth(feedline_impedance: float, coupling_capacitance: float,

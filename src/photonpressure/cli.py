@@ -134,7 +134,7 @@ def cmd_params(args) -> int:
             relative_permittivity=need(cfg, "geometry.relative_permittivity"))
         c_coupling = need(cfg, "geometry.coupling_capacitance")
         omega_lf = need(cfg, "geometry.lf_frequency")
-        l_lf = circuit.infer_inductance(omega_lf, c_lf + c_coupling)
+        l_lf = circuit.infer_inductance(omega_lf, c_lf, c_coupling)
         report["lf.capacitance"] = c_lf
         report["lf.inductance"] = l_lf
         report["lf.external_rate"] = circuit.external_linewidth(
@@ -151,7 +151,7 @@ def cmd_params(args) -> int:
         c_total = c_single * _count(cfg, "idc.parallel_count", 1)
         c_coupling = need(cfg, "idc.coupling_capacitance", 0.0)
         omega_hf = need(cfg, "idc.hf_frequency")
-        l_hf = circuit.infer_inductance(omega_hf, c_total + c_coupling)
+        l_hf = circuit.infer_inductance(omega_hf, c_total, c_coupling)
         report["hf.idc_capacitance"] = c_single
         report["hf.capacitance"] = c_total
         report["hf.inductance"] = l_hf
@@ -167,14 +167,11 @@ def cmd_params(args) -> int:
         report["coupling.zero_point_flux_phi0"] = m * i_zpf / PHI_0
 
     if "squid.dilution" in cfg:
-        spec = squid.SquidSpec(
-            sweet_spot_frequency=need(cfg, "squid.omega0"),
-            dilution=need(cfg, "squid.dilution"),
-            arch_widening=need(cfg, "squid.gamma_l"),
-            total_inductance=need(cfg, "squid.total_inductance"),
-        )
-        report["squid.junction_inductance"] = spec.junction_inductance
-        report["squid.critical_current"] = spec.critical_current
+        arch = (need(cfg, "squid.omega0"), need(cfg, "squid.dilution"),
+                need(cfg, "squid.gamma_l"))
+        l_j = squid.junction_inductance(arch[1], need(cfg, "squid.total_inductance"))
+        report["squid.junction_inductance"] = l_j
+        report["squid.critical_current"] = squid.critical_current(l_j)
         if "loop.inductance" in cfg and "junction.critical_current" in cfg:
             report["squid.screening"] = squid.screening_parameter(
                 need(cfg, "loop.inductance"), need(cfg, "junction.critical_current"))
@@ -182,7 +179,7 @@ def cmd_params(args) -> int:
         if key in cfg or key in report:
             phi_zpf = need(cfg, key, report.get(key))
             for phi_b in (0.0, 0.14, 0.5):
-                g0 = squid.single_photon_coupling(phi_b, spec, phi_zpf)
+                g0 = squid.single_photon_coupling(phi_b, *arch, phi_zpf)
                 report[f"coupling.g0_at_{phi_b:g}"] = g0
 
     if not report:

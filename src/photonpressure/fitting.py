@@ -38,8 +38,8 @@ Its background parameters carry the ``background.*`` names that
 its extras ``background.reference_frequency``, the fitted background
 (``extras["background"]``) and a background-corrected trace (divided by the
 background, rotation removed).  The other entry points fit Lorentzian
-spectra, backaction curves and the flux arch (evaluating the arch model of
-:mod:`squid`); like this one, each hands the engine its analytic Jacobian.
+spectra, backaction curves and the flux arch (the arch model and the junction
+functions of :mod:`squid`); like this one, each hands the engine its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .dynamics import (BackgroundModel, _cis, _pumped_reflection, backaction_sid
                        s11_bare)
 from .errors import DomainError
 from .lsq import FitResult, least_squares
-from .squid import SquidSpec, _arch
+from .squid import _arch, critical_current, junction_inductance
 from .traces import ComplexTrace, SpectrumTrace
 
 __all__ = [
@@ -483,13 +483,13 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     """Fit the frequency-vs-flux arch to (omega0(0), dilution, widening).
 
     ``flux_bias`` in PHI_0 units, ``frequencies`` in rad/s, at least 5 points
-    inside a single arch.  When ``total_inductance`` is given the junction
-    inductance and critical current of the fitted :class:`SquidSpec` are
-    reported in the extras.  Points spanning more than one arch raise
-    :class:`DomainError`; reduce them to one period first.  They are judged
-    to do so when, walking away from the highest point, the frequency climbs
-    above the lowest point passed by more than 5% of its span and more than
-    six times the noise the second differences show.
+    inside a single arch.  Given ``total_inductance``, the extras hold the junction
+    inductance and critical current of the fitted dilution.  A fitted omega0 or
+    gamma_l <= 0 raises :class:`DomainError`, and so do points spanning more than
+    one arch; reduce them to one period first.  They are judged to do so when,
+    walking away from the highest point, the frequency climbs above the lowest
+    point passed by more than 5% of its span and more than six times the noise
+    the second differences show.
     """
     phi = np.asarray(flux_bias, dtype=float)
     om = np.asarray(frequencies, dtype=float)
@@ -551,10 +551,11 @@ def fit_flux_arch(flux_bias, frequencies, total_inductance: float | None = None)
     fit = least_squares(residual, np.array([omega00, dilution0, gamma_l0]),
                         names=("omega0", "dilution", "gamma_l"))
     om0, dil, gl = fit.params
+    if om0 <= 0 or gl <= 0:
+        raise DomainError(f"fitted omega0 {om0} and gamma_l {gl} must be positive")
     if not 0 < dil < 1 or 1.0 - dil < 1e-6:
         raise DomainError(f"fitted dilution {dil} leaves the widening unconstrained")
     if total_inductance is not None:
-        spec = SquidSpec(om0, dil, gl, total_inductance)
-        fit.extras["junction_inductance"] = spec.junction_inductance
-        fit.extras["critical_current"] = spec.critical_current
+        l_j = junction_inductance(dil, total_inductance)
+        fit.extras.update(junction_inductance=l_j, critical_current=critical_current(l_j))
     return fit

@@ -41,7 +41,6 @@ _ARCH = {
     "squid.dilution": 0.982,
     "squid.gamma_l": 0.59,
     "squid.total_inductance": 742e-12,
-    "squid.bias_max": 0.546,
 }
 
 

@@ -8,13 +8,13 @@ so the resonance frequency over one arch reads
     omega0(phi) = omega0(0) / sqrt(dilution + (1 - dilution)/cos(pi*gamma_l*phi))
 
 with the bias ``phi`` in flux-quantum units and the dilution
-Lambda = (L_total - L_J0/2) / L_total.  ``_arch`` is its one evaluation, used
-here and by the flux-arch fit of :mod:`fitting`; flux is in PHI_0, all else SI.
+Lambda = (L_total - L_J0/2) / L_total.  Each function takes the arch as the
+three numbers (omega0(0), dilution, gamma_l) and checks the ones it uses;
+``_arch`` is its one evaluation, also used by the flux-arch fit of :mod:`fitting`.
+The junction values L_J0 and I_c are two functions.  Flux is in PHI_0, all else SI.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .constants import PHI_0
 from .errors import DomainError
 
 __all__ = [
-    "SquidSpec",
     "screening_parameter",
+    "junction_inductance",
+    "critical_current",
     "squid_frequency",
     "flux_responsivity",
     "single_photon_coupling",
@@ -35,43 +36,18 @@ def screening_parameter(loop_inductance: float, critical_current: float) -> floa
     return 2.0 * loop_inductance * critical_current / PHI_0
 
 
-@dataclass(frozen=True)
-class SquidSpec:
-    """Flux-tunable cavity description, as given by a flux-arch fit.
+def junction_inductance(dilution: float, total_inductance: float) -> float:
+    """Single-junction inductance L_J0 = 2 (1 - Lambda) L_total, in H."""
+    if total_inductance <= 0:
+        raise DomainError("total inductance must be positive")
+    if not 0 < dilution < 1:
+        raise DomainError("dilution must lie in (0, 1)")
+    return 2.0 * (1.0 - dilution) * total_inductance
 
-    ``dilution`` is the fraction of the total inductance that does not tune
-    with flux; ``arch_widening`` is the phenomenological stretch of the flux
-    axis within one arch.  Junction inductance and critical current follow:
-    L_J0 = 2 (1 - Lambda) L_total and I_c = PHI_0 / (2 pi L_J0).
-    """
 
-    sweet_spot_frequency: float   # rad/s, omega0 at zero bias
-    dilution: float               # dimensionless, 0 < Lambda < 1
-    arch_widening: float          # dimensionless gamma_l > 0
-    total_inductance: float       # H
-
-    def __post_init__(self):
-        if self.total_inductance <= 0:
-            raise DomainError("total inductance must be positive")
-        if not 0 < self.dilution < 1:
-            raise DomainError("dilution must lie in (0, 1)")
-        if self.arch_widening <= 0:
-            raise DomainError("arch widening must be positive")
-        if self.sweet_spot_frequency <= 0:
-            raise DomainError("sweet-spot frequency must be positive")
-
-    @property
-    def junction_inductance(self) -> float:  # H, single junction
-        return 2.0 * (1.0 - self.dilution) * self.total_inductance
-
-    @property
-    def critical_current(self) -> float:  # A, single junction
-        return PHI_0 / (2.0 * np.pi * self.junction_inductance)
-
-    @property
-    def arch_half_width(self) -> float:
-        """Largest |bias| (in PHI_0) for which the model is defined."""
-        return 0.5 / self.arch_widening
+def critical_current(junction_inductance: float) -> float:
+    """Single-junction critical current I_c = PHI_0 / (2 pi L_J0), in A."""
+    return PHI_0 / (2.0 * np.pi * junction_inductance)
 
 
 def _arch(u, c, omega0, dilution):
@@ -87,38 +63,41 @@ def _arch(u, c, omega0, dilution):
     return omega0 / root, derivatives
 
 
-def _arch_at(flux_bias, spec: SquidSpec):
+def _arch_at(flux_bias, omega0, dilution, gamma_l):
     """:func:`_arch` at bias points in PHI_0 units, which must lie inside the arch."""
-    u = np.pi * spec.arch_widening * np.asarray(flux_bias, dtype=float)
+    if not 0 < dilution < 1:
+        raise DomainError("dilution must lie in (0, 1)")
+    if gamma_l <= 0:
+        raise DomainError("arch widening must be positive")
+    if omega0 <= 0:
+        raise DomainError("sweet-spot frequency must be positive")
+    u = np.pi * gamma_l * np.asarray(flux_bias, dtype=float)
     c = np.cos(u)
     if np.any(c <= 0.0):
-        raise DomainError(f"flux bias beyond the arch (|phi| >= {spec.arch_half_width:.4f} "
+        raise DomainError(f"flux bias beyond the arch (|phi| >= {0.5 / gamma_l:.4f} "
                           "PHI_0): Josephson inductance diverges")
-    return _arch(u, c, spec.sweet_spot_frequency, spec.dilution)
+    return _arch(u, c, omega0, dilution)
 
 
-def squid_frequency(flux_bias, spec: SquidSpec):
-    """Cavity resonance frequency at a bias point (rad/s).
-
-    ``flux_bias`` is in PHI_0 units, scalar or array; the bias must stay
-    inside the arch, cos(pi * gamma_l * phi) > 0.
-    """
-    out, _ = _arch_at(flux_bias, spec)
+def squid_frequency(flux_bias, omega0, dilution, gamma_l):
+    """Cavity resonance frequency (rad/s) at ``flux_bias`` in PHI_0 units, scalar
+    or array; the bias must stay inside the arch, cos(pi * gamma_l * phi) > 0."""
+    out, _ = _arch_at(flux_bias, omega0, dilution, gamma_l)
     return out if out.ndim else float(out)
 
 
-def flux_responsivity(flux_bias, spec: SquidSpec):
+def flux_responsivity(flux_bias, omega0, dilution, gamma_l):
     """Signed derivative of the cavity frequency with bias, rad/s per PHI_0.
 
     Analytic derivative of the arch model; negative for positive bias.  The
     magnitude is what enters the coupling rate.
     """
-    _, derivatives = _arch_at(flux_bias, spec)
-    out = derivatives()[2] * np.pi * spec.arch_widening
+    _, derivatives = _arch_at(flux_bias, omega0, dilution, gamma_l)
+    out = derivatives()[2] * np.pi * gamma_l
     return out if out.ndim else float(out)
 
 
-def single_photon_coupling(flux_bias, spec: SquidSpec, zero_point_flux_phi0: float):
+def single_photon_coupling(flux_bias, omega0, dilution, gamma_l, zero_point_flux_phi0: float):
     """Vacuum coupling rate g0 = |d omega0/d phi| * phi_zpf, rad/s.
 
     ``zero_point_flux_phi0`` is the zero-point flux threading the loop in
@@ -126,4 +105,4 @@ def single_photon_coupling(flux_bias, spec: SquidSpec, zero_point_flux_phi0: flo
     """
     if zero_point_flux_phi0 < 0:
         raise DomainError("zero-point flux must be >= 0")
-    return abs(flux_responsivity(flux_bias, spec)) * zero_point_flux_phi0
+    return abs(flux_responsivity(flux_bias, omega0, dilution, gamma_l)) * zero_point_flux_phi0

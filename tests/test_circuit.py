@@ -111,24 +111,27 @@ class TestIdcCapacitance:
 class TestLcAlgebra:
     def test_hf_inductance(self):
         # 742 pH with the quoted rounded capacitance, 730 pH from the chain
-        l_rounded = infer_inductance(TWO_PI * 5.844e9, 1.01e-12 + 2e-15)
+        l_rounded = infer_inductance(TWO_PI * 5.844e9, 1.01e-12, 2e-15)
         assert l_rounded == pytest.approx(742e-12, rel=0.02)
 
     def test_lf_inductance(self):
-        l = infer_inductance(TWO_PI * 391e6, 620e-12 + 434e-15)
+        l = infer_inductance(TWO_PI * 391e6, 620e-12, 434e-15)
         assert l == pytest.approx(267e-12, rel=0.01)
 
     @given(frequency=positive, capacitance=positive)
     def test_resonance_condition(self, frequency, capacitance):
         # L * C * omega^2 = 1 for the inferred inductance
-        inductance = infer_inductance(frequency, capacitance)
+        inductance = infer_inductance(frequency, capacitance, 0.0)
         assert inductance * capacitance * frequency**2 == pytest.approx(1.0, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            infer_inductance(0.0, 1e-12)
+            infer_inductance(0.0, 1e-12, 0.0)
         with pytest.raises(DomainError):
-            infer_inductance(TWO_PI * 1e9, -1e-12)
+            infer_inductance(TWO_PI * 1e9, -1e-12, 0.0)
+        # a negative coupling capacitor is refused however large the capacitor
+        with pytest.raises(DomainError, match="coupling capacitance must be >= 0"):
+            infer_inductance(TWO_PI * 1e9, 1e-12, -2e-12)
 
 
 class TestExternalLinewidth:
@@ -197,7 +200,7 @@ class TestDerivedResonator:
         # the chain ``params`` runs: plate capacitance, inductance from the
         # measured frequency, feedline rate
         capacitance = parallel_plate_capacitance(**plate_spec())
-        inductance = infer_inductance(TWO_PI * 391e6, capacitance + 434e-15)
+        inductance = infer_inductance(TWO_PI * 391e6, capacitance, 434e-15)
         rate = external_linewidth(50.0, 434e-15, inductance, capacitance)
         assert capacitance == pytest.approx(617.2e-12, rel=1e-3)
         assert inductance == pytest.approx(268.2e-12, rel=1e-3)

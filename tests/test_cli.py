@@ -14,7 +14,7 @@ import pytest
 import photonpressure
 from photonpressure.cli import main
 from photonpressure.fitting import fit_lorentzian, fit_resonance
-from photonpressure.squid import SquidSpec, squid_frequency
+from photonpressure.squid import squid_frequency
 from photonpressure.synth import make_rng
 from photonpressure.traces import read_complex_trace, read_points, read_spectrum_trace
 
@@ -166,10 +166,21 @@ class TestExitCodes:
         ("idc.gap_width=0", "finger dimensions must be positive"),
         ("idc.effective_permittivity=0.9", "effective permittivity must be >= 1"),
         ("idc.coupling_capacitance=-1e-15", "coupling capacitance must be >= 0"),
+        # a negative coupling capacitor larger than its capacitor
+        ("geometry.coupling_capacitance=-1", "coupling capacitance must be >= 0"),
+        ("idc.coupling_capacitance=-1", "coupling capacitance must be >= 0"),
+        ("squid.dilution=1.2", "dilution must lie in (0, 1)"),
+        ("squid.dilution=0", "dilution must lie in (0, 1)"),
+        ("squid.gamma_l=0", "arch widening must be positive"),
+        ("squid.omega0=-1", "sweet-spot frequency must be positive"),
+        ("squid.total_inductance=0", "total inductance must be positive"),
+        ("coupling.zero_point_flux_phi0=-1", "zero-point flux must be >= 0"),
     ], ids=["plate-area", "thickness", "permittivity", "coupling", "feedline",
-            "fingers", "gap", "idc-permittivity", "idc-coupling"])
+            "fingers", "gap", "idc-permittivity", "idc-coupling", "coupling-large",
+            "idc-coupling-large", "dilution-above", "dilution-zero", "widening",
+            "sweet-spot", "total-inductance", "zero-point-flux"])
     def test_bad_geometry_is_domain_error(self, tmp_path, capsys, setting, message):
-        # each circuit function checks the inputs it uses
+        # each circuit and arch function checks the inputs it uses
         out = tmp_path / "out.json"
         assert run("params", "--preset", "geometry", "--set", setting,
                    "--out", str(out)) == 4
@@ -227,11 +238,11 @@ class TestExitCodes:
     def test_bad_flux_arch_total_inductance(self, tmp_path, value, code):
         # a set key is read whatever its truth value: 0 is not a positive
         # inductance, and an empty value is not a number
-        spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+        arch = (TWO_PI * 5.844e9, 0.982, 0.59)
         phi = np.linspace(-0.5, 0.5, 21)
         points = tmp_path / "arch.dat"
         points.write_text("\n".join(f"{p:.17g} {f:.17g}" for p, f in
-                                    zip(phi, squid_frequency(phi, spec) / TWO_PI)) + "\n")
+                                    zip(phi, squid_frequency(phi, *arch) / TWO_PI)) + "\n")
         out = tmp_path / "arch.json"
         assert run("fit", str(points), "--model", "flux_arch",
                    "--set", f"squid.total_inductance={value}", "--out", str(out)) == code
@@ -449,11 +460,11 @@ class TestParams:
         out = tmp_path / "report.json"
         run("params", "--preset", "geometry", "--out", str(out))
         report = json.loads(out.read_text())
-        spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+        arch = (TWO_PI * 5.844e9, 0.982, 0.59)
         phi_zpf = report["coupling.zero_point_flux_phi0"]
         for phi in (0.0, 0.14, 0.5):
             assert report[f"coupling.g0_at_{phi:g}"] == pytest.approx(
-                single_photon_coupling(phi, spec, phi_zpf), rel=1e-9)
+                single_photon_coupling(phi, *arch, phi_zpf), rel=1e-9)
 
 
 class TestFitRoundTrips:
@@ -549,9 +560,9 @@ class TestFitRoundTrips:
         assert report == fit_lorentzian(read_spectrum_trace(spectrum)).as_dict()
 
     def test_flux_arch_fit_from_point_file(self, tmp_path):
-        spec = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+        arch = (TWO_PI * 5.844e9, 0.982, 0.59)
         phi = np.linspace(-0.5, 0.5, 21)
-        freq_hz = squid_frequency(phi, spec) / TWO_PI
+        freq_hz = squid_frequency(phi, *arch) / TWO_PI
         points = tmp_path / "arch.dat"
         points.write_text("# columns: flux_phi0 frequency_hz\n" + "\n".join(
             f"{p:.17g} {f:.17g}" for p, f in zip(phi, freq_hz)) + "\n")

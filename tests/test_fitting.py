@@ -9,7 +9,7 @@ from photonpressure.errors import DomainError
 from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
-from photonpressure.squid import SquidSpec, squid_frequency
+from photonpressure.squid import squid_frequency
 from photonpressure.synth import NoiseSpec, make_rng, synth_s11
 from photonpressure.traces import ComplexTrace, SpectrumTrace
 
@@ -642,11 +642,11 @@ class TestFitBackaction:
 
 
 class TestFitFluxArch:
-    SPEC = SquidSpec(TWO_PI * 5.844e9, 0.982, 0.59, 742e-12)
+    ARCH = (TWO_PI * 5.844e9, 0.982, 0.59)
 
     def test_exact_recovery_with_derived_junction(self):
         phi = np.linspace(-0.52, 0.52, 41)
-        fit = fit_flux_arch(phi, squid_frequency(phi, self.SPEC),
+        fit = fit_flux_arch(phi, squid_frequency(phi, *self.ARCH),
                             total_inductance=742e-12)
         assert abs(fit.value("omega0") - TWO_PI * 5.844e9) / (TWO_PI * 5.844e9) < 1e-9
         assert abs(fit.value("dilution") - 0.982) / 0.982 < 1e-9
@@ -657,13 +657,30 @@ class TestFitFluxArch:
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
         phi = np.linspace(-0.52, 0.52, 41)
         [(residual, x0)] = engine_calls(monkeypatch, fit_flux_arch, phi,
-                                        squid_frequency(phi, self.SPEC))
+                                        squid_frequency(phi, *self.ARCH))
         # at gamma_l = 1.3 the cosine is clamped for |phi| > 0.385, where the
         # model does not move with gamma_l
         assert np.any(np.cos(np.pi * 1.3 * phi) <= 1e-9)
         for gamma_l in (x0[2], 1.3):
             u = np.array([x0[0], x0[1], gamma_l])
             check_jacobian(residual, u, 1e-6 * u)
+
+    def test_nonpositive_widening_refused(self, monkeypatch):
+        # cos is even in gamma_l, so an engine result with -gamma_l fits the
+        # points as well; it is refused with or without a total inductance
+        from photonpressure import fitting
+
+        original = fitting.least_squares
+
+        def mirrored(residual, x0, **engine_kwargs):
+            fit = original(residual, x0, **engine_kwargs)
+            fit.params[2] *= -1.0
+            return fit
+
+        monkeypatch.setattr(fitting, "least_squares", mirrored)
+        phi = np.linspace(-0.52, 0.52, 41)
+        with pytest.raises(DomainError, match="must be positive"):
+            fit_flux_arch(phi, squid_frequency(phi, *self.ARCH))
 
     def test_flat_arch_not_identifiable(self):
         phi = np.linspace(-0.5, 0.5, 21)
@@ -673,7 +690,7 @@ class TestFitFluxArch:
     def test_multiple_arches_rejected(self):
         inner = np.linspace(-0.3, 0.3, 13)
         phi = np.concatenate([inner, inner + 1.7])
-        om = np.concatenate([squid_frequency(inner, self.SPEC)] * 2)
+        om = np.concatenate([squid_frequency(inner, *self.ARCH)] * 2)
         with pytest.raises(DomainError, match="rises again"):
             fit_flux_arch(phi, om)
 
@@ -682,7 +699,7 @@ class TestFitFluxArch:
         # the arch's direction larger than 5% of its span is noise, not a
         # second arch (the step check refused 58 of these 100)
         phi = np.linspace(-0.546, 0.546, 61)
-        om = squid_frequency(phi, self.SPEC)
+        om = squid_frequency(phi, *self.ARCH)
         truth = np.array([TWO_PI * 5.844e9, 0.982, 0.59])
         for seed in range(100):
             noise = 2e-4 * np.random.default_rng(seed).standard_normal(phi.size)
@@ -695,7 +712,7 @@ class TestFitFluxArch:
     def test_noisy_multiple_arches_rejected(self, shift):
         inner = np.linspace(-0.3, 0.3, 13)
         phi = np.concatenate([inner, inner + shift])
-        om = np.concatenate([squid_frequency(inner, self.SPEC)] * 2)
+        om = np.concatenate([squid_frequency(inner, *self.ARCH)] * 2)
         for seed in range(100):
             noise = 1e-4 * np.random.default_rng(seed).standard_normal(phi.size)
             with pytest.raises(DomainError, match="rises again"):

@@ -6,7 +6,7 @@ from photonpressure.cli import main
 from photonpressure.dynamics import backaction_sideband, cooperativity
 from photonpressure.errors import ConfigError
 from photonpressure.presets import _PRESETS, need, preset
-from photonpressure.squid import SquidSpec, single_photon_coupling
+from photonpressure.squid import single_photon_coupling
 
 TWO_PI = 2 * math.pi
 
@@ -77,9 +77,8 @@ class TestSceneConsistency:
         # quote's last digit.  Scene D's 250 kHz is the reported value, 3.0%
         # below the 257.70 kHz the arch gives at bias 0.50, so D is not here.
         arch, scene = preset("flux_arch"), preset(f"strong_coupling_{label}")
-        spec = SquidSpec(arch["squid.omega0"], arch["squid.dilution"],
-                         arch["squid.gamma_l"], arch["squid.total_inductance"])
-        g0 = single_photon_coupling(scene["drive.flux_bias"], spec,
+        g0 = single_photon_coupling(scene["drive.flux_bias"], arch["squid.omega0"],
+                                    arch["squid.dilution"], arch["squid.gamma_l"],
                                     arch["coupling.zero_point_flux_phi0"])
         assert abs(math.sqrt(scene["drive.n_c"]) * g0 - scene["drive.g"]) <= TWO_PI * 50.0
 
