@@ -203,8 +203,8 @@ def cmd_backaction(args) -> int:
     kappa_eff = need(cfg, "drive.kappa_eff")
     sideband = pump_sideband(cfg)
     grid = parse_grid(args.grid, "--grid", np.linspace(-3e5, 3e5, args.points))
-    ba = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, sideband)
-    write_columns(args.out, [grid, ba.frequency_shift / TWO_PI, ba.damping_shift / TWO_PI],
+    shift, damping = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, sideband)
+    write_columns(args.out, [grid, shift / TWO_PI, damping / TWO_PI],
                   {"columns": "offset_hz frequency_shift_hz damping_shift_hz",
                    "sideband": sideband})
     return EXIT_OK
@@ -212,11 +212,16 @@ def cmd_backaction(args) -> int:
 
 def cmd_nms(args) -> int:
     cfg = build_config(args)
+    lf_frequency = need(cfg, "lf.omega0")
+    offset = pump_detuning(cfg) + lf_frequency  # 0 exactly when detuning == -lf.omega0
+    if offset != 0.0:
+        raise DomainError(f"nms models a pump exactly on the red sideband; this pump is "
+                          f"{offset / TWO_PI:g} Hz from it")
     grid = parse_grid(args.grid, "--grid", np.linspace(0.0, 6e5, args.points))
-    modes = dynamics.normal_modes(TWO_PI * grid, cavity_linewidth(cfg),
-                                  need(cfg, "lf.gamma0"), need(cfg, "lf.omega0"))
-    columns = [grid, modes.upper.real / TWO_PI, modes.lower.real / TWO_PI,
-               modes.linewidth_upper / TWO_PI, modes.linewidth_lower / TWO_PI]
+    upper, lower = dynamics.normal_modes(TWO_PI * grid, cavity_linewidth(cfg),
+                                         need(cfg, "lf.gamma0"), lf_frequency)
+    columns = [grid, upper.real / TWO_PI, lower.real / TWO_PI,
+               -2.0 * upper.imag / TWO_PI, -2.0 * lower.imag / TWO_PI]
     write_columns(args.out, columns, {"columns": "g_hz upper_hz lower_hz "
                                                  "linewidth_upper_hz linewidth_lower_hz"})
     return EXIT_OK
@@ -408,8 +413,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # the readers name their own file, so this is the output
         error = ConfigError(f"cannot write {exc.filename or args.out or 'standard output'}: "
                             f"{exc.strerror or exc}")
-    except OverflowError:  # Python float arithmetic on a huge parameter
-        error = DomainError("arithmetic overflow: a parameter is too large")
+    except ArithmeticError:  # Python float arithmetic overflows or divides by an underflow
+        error = DomainError("arithmetic error: a parameter is too large or too small")
     print(f"{error.label}: {error}", file=sys.stderr)
     return error.exit_code
 

@@ -8,8 +8,9 @@ normal modes.  Probe frequencies for the cavity-side response are offsets
 from the pump, Omega = omega_probe - omega_pump; the low-frequency side is
 probed directly at its own (absolute) frequency.
 
-All functions are pure and accept scalars or arrays for the frequency
-argument.  chi_c, chi_c*(-Omega) and chi_eff are written once, in
+All functions are pure.  The responses take a grid (of frequencies, pump
+offsets or couplings) and return arrays of its shape; a 0-d grid gives numpy
+scalars.  chi_c, chi_c*(-Omega) and chi_eff are written once, in
 :func:`_pumped_terms`; :func:`_pumped_reflection` returns them with the
 reflection, so the pumped fit builds its Jacobian from the same terms.
 :class:`BackgroundModel` is the instrumental background of a trace; its
@@ -26,8 +27,6 @@ from .errors import DomainError
 
 __all__ = [
     "BackgroundModel",
-    "BackactionResult",
-    "HybridModes",
     "effective_lf_susceptibility",
     "s11_bare",
     "s11_pumped",
@@ -37,28 +36,6 @@ __all__ = [
     "normal_modes",
     "cooperativity",
 ]
-
-
-@dataclass(frozen=True)
-class BackactionResult:
-    """Pump-induced modification of the low-frequency mode."""
-
-    frequency_shift: float          # rad/s
-    damping_shift: float            # rad/s
-
-
-@dataclass(frozen=True)
-class HybridModes:
-    """Eigenmodes of the driven system at exact red-sideband pumping.
-
-    Scalars for one coupling, arrays of its shape for an array of couplings.
-    """
-
-    upper: complex                  # rad/s
-    lower: complex                  # rad/s
-    splitting: float                # rad/s, Re(upper - lower)
-    linewidth_upper: float          # rad/s
-    linewidth_lower: float          # rad/s
 
 
 @dataclass(frozen=True)
@@ -92,15 +69,6 @@ def _cis(x):
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
-
-
-def _ret(values, scalar_input, to_complex=True):
-    # the reflections evaluate a scalar as a 1-element array, so that it takes
-    # the arithmetic of a grid and equals that grid's element bit for bit
-    arr = np.asarray(values)
-    if scalar_input:
-        return complex(arr.flat[0]) if to_complex else float(arr.flat[0])
-    return arr
 
 
 def _cavity_terms(om, kappa, detuning):
@@ -139,8 +107,7 @@ def effective_lf_susceptibility(offset, lf_frequency, lf_linewidth, g, detuning,
         raise DomainError("rates must be positive")
     om = np.asarray(offset)
     om = om.astype(complex if np.iscomplexobj(om) else float)
-    *_, chi_eff = _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning)
-    return _ret(chi_eff, om.ndim == 0)
+    return _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning)[-1]
 
 
 def s11_bare(omega, omega0, kappa_i, kappa_e):
@@ -150,9 +117,8 @@ def s11_bare(omega, omega0, kappa_i, kappa_e):
     """
     if kappa_i < 0 or kappa_e < 0 or kappa_i + kappa_e <= 0:
         raise DomainError("decay rates must be >= 0 with a positive total")
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = 1.0 - 2.0 * kappa_e / (kappa_i + kappa_e + 2j * (om - omega0))
-    return _ret(out, np.ndim(omega) == 0)
+    om = np.asarray(omega, dtype=float)
+    return 1.0 - 2.0 * kappa_e / (kappa_i + kappa_e + 2j * (om - omega0))
 
 
 def s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_frequency, lf_linewidth,
@@ -168,10 +134,9 @@ def s11_pumped(omega_probe, omega0, kappa_i, kappa_e, lf_frequency, lf_linewidth
         raise DomainError("decay rates must be >= 0 with a positive total")
     if lf_linewidth <= 0:
         raise DomainError("low-frequency linewidth must be positive")
-    om = np.atleast_1d(np.asarray(omega_probe, dtype=float)) - (omega0 + detuning)
-    out, _ = _pumped_reflection(om, kappa_i, kappa_e, lf_frequency, lf_linewidth,
-                                g, detuning)
-    return _ret(out, np.ndim(omega_probe) == 0)
+    om = np.asarray(omega_probe, dtype=float) - (omega0 + detuning)
+    return _pumped_reflection(om, kappa_i, kappa_e, lf_frequency, lf_linewidth,
+                              g, detuning)[0]
 
 
 def lf_s11_pumped(omega, lf_frequency, gamma_i, gamma_e, g, detuning, kappa):
@@ -187,12 +152,11 @@ def lf_s11_pumped(omega, lf_frequency, gamma_i, gamma_e, g, detuning, kappa):
         raise DomainError("decay rates must be >= 0 with a positive total")
     if kappa <= 0:
         raise DomainError("cavity linewidth must be positive")
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    om = np.asarray(omega, dtype=float)
     chi_c, chi_cm = _cavity_terms(om, kappa, detuning)
     sigma = -1j * g ** 2 * (chi_c - chi_cm)
-    out = np.conj(1.0 - gamma_e / (0.5 * (gamma_i + gamma_e) - 1j * (om - lf_frequency)
-                                   + 1j * sigma))
-    return _ret(out, np.ndim(omega) == 0)
+    return np.conj(1.0 - gamma_e / (0.5 * (gamma_i + gamma_e) - 1j * (om - lf_frequency)
+                                    + 1j * sigma))
 
 
 def backaction_exact(detuning, g, kappa, lf_frequency):
@@ -204,7 +168,8 @@ def backaction_exact(detuning, g, kappa, lf_frequency):
         damping = g^2 k [ 1/(k^2/4+(D+W)^2) - 1/(k^2/4+(D-W)^2) ]
 
     with D the pump detuning, W the mode frequency and k the cavity
-    linewidth.  Valid for any detuning.
+    linewidth.  Valid for any detuning.  Returns ``(shift, damping)`` in
+    rad/s, each of the shape of ``detuning``.
     """
     if kappa <= 0:
         raise DomainError("cavity linewidth must be positive")
@@ -213,9 +178,7 @@ def backaction_exact(detuning, g, kappa, lf_frequency):
     minus = kappa ** 2 / 4.0 + (d - lf_frequency) ** 2
     shift = g ** 2 * ((d + lf_frequency) / plus + (d - lf_frequency) / minus)
     damping = g ** 2 * kappa * (1.0 / plus - 1.0 / minus)
-    if d.ndim == 0:
-        return BackactionResult(float(shift), float(damping))
-    return BackactionResult(shift, damping)
+    return shift, damping
 
 
 def backaction_sideband(offset, g, kappa_eff, sideband="red"):
@@ -225,7 +188,8 @@ def backaction_sideband(offset, g, kappa_eff, sideband="red"):
         damping = +-4 g^2 k / (k^2 + 4 d^2)   (+ red, - blue)
 
     ``offset`` is the pump detuning from the chosen sideband and ``kappa_eff``
-    the effective cavity linewidth under drive.
+    the effective cavity linewidth under drive.  Returns ``(shift, damping)``
+    in rad/s, each of the shape of ``offset``.
     """
     if kappa_eff <= 0:
         raise DomainError("effective cavity linewidth must be positive")
@@ -237,12 +201,10 @@ def backaction_sideband(offset, g, kappa_eff, sideband="red"):
     damping = 4.0 * g ** 2 * kappa_eff / denom
     if sideband == "blue":
         damping = -damping
-    if d.ndim == 0:
-        return BackactionResult(float(shift), float(damping))
-    return BackactionResult(shift, damping)
+    return shift, damping
 
 
-def normal_modes(g, kappa, gamma0, lf_frequency) -> HybridModes:
+def normal_modes(g, kappa, gamma0, lf_frequency):
     """Hybrid eigenmodes for an exact red-sideband pump.
 
     omega_pm = Omega0 - i(kappa+Gamma0)/4 +- sqrt(g^2 - ((kappa-Gamma0)/4)^2)
@@ -254,23 +216,15 @@ def normal_modes(g, kappa, gamma0, lf_frequency) -> HybridModes:
     strong-coupling convention, splitting exceeding the hybrid linewidth,
     corresponds to g > (kappa+Gamma0)/4 and is left to the caller.)
 
-    ``g`` may be an array; the fields are then arrays of its shape.
+    Returns the complex ``(upper, lower)`` eigenfrequencies in rad/s, each of
+    the shape of ``g``; a mode's linewidth is -2 times its imaginary part.
     """
     if kappa <= 0 or gamma0 <= 0:
         raise DomainError("rates must be positive")
     g = np.asarray(g, dtype=float)
     disc = np.emath.sqrt(g ** 2 - ((kappa - gamma0) / 4.0) ** 2)
     base = lf_frequency - 0.25j * (kappa + gamma0)
-    upper = base + disc
-    lower = base - disc
-    scalar = g.ndim == 0
-    return HybridModes(
-        upper=_ret(upper, scalar),
-        lower=_ret(lower, scalar),
-        splitting=_ret(upper.real - lower.real, scalar, to_complex=False),
-        linewidth_upper=_ret(-2.0 * upper.imag, scalar, to_complex=False),
-        linewidth_lower=_ret(-2.0 * lower.imag, scalar, to_complex=False),
-    )
+    return base + disc, base - disc
 
 
 def cooperativity(g, kappa, gamma0) -> float:

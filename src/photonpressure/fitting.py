@@ -461,7 +461,7 @@ def fit_backaction(offsets, frequency_shifts, damping_shifts) -> FitResult:
     def residual(pars):
         g, kappa = abs(pars[0]), abs(pars[1])
         k = max(kappa, 1e-12)
-        ba = backaction_sideband(d, g, k, "red")
+        model_shift, model_damping = backaction_sideband(d, g, k, "red")
 
         def jacobian():
             # d/d(g, kappa_eff) of the shift rows, then the damping rows,
@@ -472,7 +472,7 @@ def fit_backaction(offsets, frequency_shifts, damping_shifts) -> FitResult:
             return np.column_stack([_sign(pars[0]) * dg.ravel(),
                                     (_sign(pars[1]) if kappa > 1e-12 else 0.0) * dk.ravel()])
 
-        return np.concatenate([ba.frequency_shift - shift, ba.damping_shift - damping]), jacobian
+        return np.concatenate([model_shift - shift, model_damping - damping]), jacobian
 
     fit = least_squares(residual, np.array([g0, kappa0]), names=("g", "kappa_eff"))
     fit.params = np.abs(fit.params)

@@ -77,17 +77,16 @@ def hemt_noise_power_dbm(noise_temperature: float, bandwidth: float) -> float:
 
 
 def bose_occupation(frequency, temperature: float):
-    """Thermal occupation 1/(exp(hbar*omega/kT) - 1); zero at T = 0."""
+    """Thermal occupation 1/(exp(hbar*omega/kT) - 1), zero at T = 0: an array
+    of the shape of ``frequency``."""
     if temperature < 0:
         raise DomainError("temperature must be >= 0")
     om = np.asarray(frequency, dtype=float)
     if np.any(om <= 0):
         raise DomainError("frequency must be positive")
     if temperature == 0.0:
-        out = np.zeros_like(om)
-    else:
-        out = 1.0 / np.expm1(hbar * om / (k_B * temperature))
-    return out if out.ndim else float(out)
+        return np.zeros_like(om)
+    return 1.0 / np.expm1(hbar * om / (k_B * temperature))
 
 
 def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,
@@ -102,13 +101,14 @@ def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,
             / |1 - g^2*chi_c*chi_lf|^2
 
     with chi_c = 1/(k/2 + i(Omega+Delta)) and
-    chi_lf = 1/(Gamma0/2 + i(Omega+Omega0)).
+    chi_lf = 1/(Gamma0/2 + i(Omega+Omega0)); an array of the shape of
+    ``offset``.
     """
     if kappa <= 0 or kappa_e < 0 or gamma0 <= 0:
         raise DomainError("rates must be positive")
     if n_lf < 0 or n_cavity < 0:
         raise DomainError("occupations must be >= 0")
-    om = np.atleast_1d(np.asarray(offset, dtype=float))
+    om = np.asarray(offset, dtype=float)
     chi_c = 1.0 / (0.5 * kappa + 1j * (om + detuning))
     chi_lf = 1.0 / (0.5 * gamma0 + 1j * (om + lf_frequency))
     abs2_c = chi_c.real ** 2 + chi_c.imag ** 2
@@ -116,8 +116,7 @@ def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,
     loop = 1.0 - g ** 2 * chi_c * chi_lf
     num = kappa_e * g ** 2 * abs2_lf * abs2_c * gamma0 * (n_lf + 1.0) \
         + kappa_e * abs2_c * kappa * n_cavity
-    out = 0.5 + n_add_eff + num / (loop.real ** 2 + loop.imag ** 2)
-    return out if np.ndim(offset) else float(out[0])
+    return 0.5 + n_add_eff + num / (loop.real ** 2 + loop.imag ** 2)
 
 
 def psd_on_sideband(offset_from_peak, kappa, kappa_e, cooperativity, gamma0,
@@ -125,26 +124,26 @@ def psd_on_sideband(offset_from_peak, kappa, kappa_e, cooperativity, gamma0,
     """Lorentzian limit of the spectrum for a pump exactly on the sideband.
 
     S = 1/2 + n_add' + 4 (ke/k) C Gamma0^2 / (Gamma0'^2 + 4 delta^2) (n_LF+1),
-    a peak of FWHM Gamma0' on the flat background.
+    a peak of FWHM Gamma0' on the flat background; an array of the shape of
+    ``offset_from_peak``.
     """
     if kappa <= 0 or kappa_e < 0 or gamma0 <= 0 or gamma0_eff <= 0:
         raise DomainError("rates must be positive")
     d = np.asarray(offset_from_peak, dtype=float)
-    out = 0.5 + n_add_eff + (4.0 * kappa_e / kappa * cooperativity * gamma0 ** 2
-                             / (gamma0_eff ** 2 + 4.0 * d ** 2) * (n_lf + 1.0))
-    return out if d.ndim else float(out)
+    return 0.5 + n_add_eff + (4.0 * kappa_e / kappa * cooperativity * gamma0 ** 2
+                              / (gamma0_eff ** 2 + 4.0 * d ** 2) * (n_lf + 1.0))
 
 
 def current_psd(offset_from_peak, gamma0, gamma0_eff, i_zpf, n_lf):
     """Current fluctuation spectral density of the low-frequency mode, A^2/Hz.
 
-    S_I = 8 Gamma0 / (Gamma0'^2 + 4 delta^2) * I_zpf^2 * (n_LF + 1).
+    S_I = 8 Gamma0 / (Gamma0'^2 + 4 delta^2) * I_zpf^2 * (n_LF + 1), an array
+    of the shape of ``offset_from_peak``.
     """
     if gamma0 <= 0 or gamma0_eff <= 0:
         raise DomainError("rates must be positive")
     d = np.asarray(offset_from_peak, dtype=float)
-    out = 8.0 * gamma0 / (gamma0_eff ** 2 + 4.0 * d ** 2) * i_zpf ** 2 * (n_lf + 1.0)
-    return out if d.ndim else float(out)
+    return 8.0 * gamma0 / (gamma0_eff ** 2 + 4.0 * d ** 2) * i_zpf ** 2 * (n_lf + 1.0)
 
 
 def extract_current_psd(trace: SpectrumTrace, background: float, n_add_eff: float,

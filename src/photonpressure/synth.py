@@ -7,11 +7,15 @@ dictionaries (the same schema the presets and the CLI use), read through
 :func:`presets.need`: a missing key or a value that is not a finite number is
 a :class:`ConfigError` naming its path.
 
-This module is the one place where a parameter set becomes model inputs:
-the pump sideband and detuning, the cavity linewidth, the probed resonance,
-the low-frequency mode's thermal occupation, the background (one
-``background.<field>`` key per :class:`BackgroundModel` field, which is also
-how a fit report writes it), the noise and the detection chain.
+This module holds the readers that turn a parameter set into the inputs
+shared by several commands: the pump sideband and detuning, the cavity
+linewidth, the probed resonance, the low-frequency mode's thermal
+occupation, the background (one ``background.<field>`` key per
+:class:`BackgroundModel` field, which is also how a fit report writes it),
+the noise and the detection chain.  The commands read their other model keys
+themselves: ``backaction`` drive.g and drive.kappa_eff, ``nms`` lf.omega0
+and lf.gamma0, ``psd`` hf.omega0 for its units, and the pumped ``fit`` its
+fixed parameters.
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 identical inputs give bit-identical traces, and independent streams are safe

@@ -65,13 +65,25 @@ class TestExitCodes:
         (["respond", "--preset", "strong_coupling_D", "--params", "{tmp}/bool.json"], 2, ""),
         (["respond", "--preset", "strong_coupling_D", "--out", "{tmp}/missing/x.dat"], 2,
          "{tmp}/missing/x.dat"),
+        # omega^2 underflows to 0 in circuit.infer_inductance, which divides by it
+        (["params", "--preset", "geometry", "--set", "geometry.lf_frequency=1e-300"], 4,
+         "too small"),
+        (["params", "--preset", "geometry", "--set", "idc.hf_frequency=1e-300"], 4,
+         "too small"),
+        # normal_modes holds for a pump exactly on the red sideband only
+        (["nms", "--preset", "ppia"], 4, "7.82e+08 Hz"),
+        (["nms", "--preset", "strong_coupling_B", "--set", "drive.sideband=blue"], 4,
+         "7.82e+08 Hz"),
+        (["nms", "--preset", "strong_coupling_B", "--set", "drive.sideband_offset=3e5"], 4,
+         "47746.5 Hz"),
     ], ids=["fit-directory", "params-directory", "fit-not-utf8", "respond-overflow",
             "backaction-overflow", "nms-overflow", "backaction-nan-row", "json-boolean",
-            "unwritable-out"])
+            "unwritable-out", "params-lf-underflow", "params-hf-underflow", "nms-blue-preset",
+            "nms-blue-sideband", "nms-sideband-offset"])
     def test_unusable_input_ends_with_one_error_line(self, tmp_path, capsys, argv, code,
                                                      named):
-        # ``named`` is the file the message must name; a case with its own
-        # --out writes there instead of to out.dat
+        # ``named`` is what the message must name (a file, or the value at
+        # fault); a case with its own --out writes there instead of to out.dat
         (tmp_path / "bin.dat").write_bytes(b"\xff\xfe")
         (tmp_path / "bool.json").write_text('{"hf.kappa_i": true}')
         argv = [a.format(tmp=tmp_path) for a in argv]

@@ -603,24 +603,22 @@ class TestFitBackaction:
 
     def test_exact_recovery(self):
         d = np.linspace(-3 * self.K_TRUE, 3 * self.K_TRUE, 201)
-        ba = backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red")
-        fit = fit_backaction(d, ba.frequency_shift, ba.damping_shift)
+        fit = fit_backaction(d, *backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red"))
         assert abs(fit.value("g") - self.G_TRUE) / self.G_TRUE < 1e-9
         assert abs(fit.value("kappa_eff") - self.K_TRUE) / self.K_TRUE < 1e-9
 
     def test_fitted_peak_is_closed_form(self):
         d = np.linspace(-3 * self.K_TRUE, 3 * self.K_TRUE, 201)
-        ba = backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red")
-        fit = fit_backaction(d, ba.frequency_shift, ba.damping_shift)
+        fit = fit_backaction(d, *backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red"))
         g, k = fit.value("g"), fit.value("kappa_eff")
-        peak = backaction_sideband(0.0, g, k, "red").damping_shift
+        _, (peak,) = backaction_sideband(np.array([0.0]), g, k, "red")
         assert peak == pytest.approx(4 * g**2 / k, rel=1e-12)
 
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
         d = np.linspace(-3 * self.K_TRUE, 3 * self.K_TRUE, 201)
-        ba = backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red")
         [(residual, x0)] = engine_calls(monkeypatch, fit_backaction, d,
-                                        ba.frequency_shift, ba.damping_shift)
+                                        *backaction_sideband(d, self.G_TRUE, self.K_TRUE,
+                                                             "red"))
         for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):   # g and kappa enter as |.|
             u = x0 * np.array([1.1, 0.9]) * signs
             check_jacobian(residual, u, 1e-4 * np.abs(u))
@@ -633,10 +631,10 @@ class TestFitBackaction:
     def test_noisy_recovery(self):
         rng = make_rng(42, 0)
         d = np.linspace(-3 * self.K_TRUE, 3 * self.K_TRUE, 201)
-        ba = backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red")
-        scale = np.max(ba.damping_shift)
-        fit = fit_backaction(d, ba.frequency_shift + 0.01 * scale * rng.standard_normal(201),
-                             ba.damping_shift + 0.01 * scale * rng.standard_normal(201))
+        shift, damping = backaction_sideband(d, self.G_TRUE, self.K_TRUE, "red")
+        scale = np.max(damping)
+        fit = fit_backaction(d, shift + 0.01 * scale * rng.standard_normal(201),
+                             damping + 0.01 * scale * rng.standard_normal(201))
         assert fit.value("g") == pytest.approx(self.G_TRUE, rel=0.02)
         assert fit.value("kappa_eff") == pytest.approx(self.K_TRUE, rel=0.02)
 

@@ -1,5 +1,8 @@
+import io
+import json
 import math
 
+import numpy as np
 import pytest
 
 from photonpressure.cli import main
@@ -10,17 +13,30 @@ from photonpressure.squid import single_photon_coupling
 
 TWO_PI = 2 * math.pi
 
-# one command that each preset serves alone
+# every command that each preset serves, as the arguments before --preset
+SWEEP = ["sweep", "--outer", "drive.sideband_offset:-4e5:4e5:3"]
 PRESET_COMMANDS = {
-    "lf": ["respond", "--model", "bare"],
-    "hf": ["respond", "--model", "bare"],
-    "hf_fit": ["respond", "--model", "bare"],
-    "geometry": ["params"],
-    "flux_arch": ["params"],
-    "backaction": ["backaction"],
-    **{f"strong_coupling_{x}": ["respond"] for x in "ABCD"},
-    "ppia": ["psd"],
+    **{name: [["respond", "--model", "bare"], ["synth", "--model", "bare"]]
+       for name in ("lf", "hf", "hf_fit")},
+    "geometry": [["params"]],
+    "flux_arch": [["params"]],
+    "backaction": [["backaction"], ["respond", "--model", "lf_pumped"]],
+    **{f"strong_coupling_{x}": [["respond"], ["synth", "--model", "pumped"], ["nms"], SWEEP]
+       for x in "ABCD"},
+    "ppia": [["psd"], ["synth", "--model", "psd"]],
 }
+PAIRS = [(name, argv) for name, commands in PRESET_COMMANDS.items() for argv in commands]
+
+# each preset key is set to each of these in turn
+EDGE_VALUES = (0.0, -1.0, 1e300, -1e300, 1e30, 1e-300, 1e-30, -1e-30)
+
+
+def written_numbers(path):
+    """Every number in an output file: a JSON report's values, or a table's."""
+    text = path.read_text()
+    if text.startswith("{"):
+        return np.array([v for v in json.loads(text).values() if isinstance(v, float)])
+    return np.loadtxt(io.StringIO(text), ndmin=1)
 
 
 class TestCatalog:
@@ -29,9 +45,32 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name", PRESET_COMMANDS)
     def test_every_preset_runs_a_command(self, tmp_path, name):
-        argv = [*PRESET_COMMANDS[name], "--preset", name, "--out", str(tmp_path / "out")]
-        assert main(argv) == 0
-        assert (tmp_path / "out").stat().st_size > 0
+        for command in PRESET_COMMANDS[name]:
+            out = tmp_path / command[0]
+            assert main([*command, "--preset", name, "--out", str(out)]) == 0, command
+            assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("name, command", PAIRS,
+                             ids=[f"{name}-{argv[0]}" for name, argv in PAIRS])
+    def test_edge_values_exit_with_a_documented_code(self, tmp_path, name, command):
+        # a run ends with exit 0 and only finite numbers written, or with one of
+        # the documented error codes and no file; never with an exception
+        out = tmp_path / "out"
+        points = [] if command[0] == "params" else ["--points", "201"]
+        for key in preset(name):
+            for value in EDGE_VALUES:
+                argv = [*command, "--preset", name, *points, "--set", f"{key}={value!r}",
+                        "--out", str(out)]
+                try:
+                    code = main(argv)
+                except Exception as exc:  # name the run; the chained traceback shows where
+                    raise AssertionError(f"{' '.join(argv)} raised {exc!r}") from exc
+                assert code in (0, 2, 3, 4, 5), argv
+                if code == 0:
+                    assert np.all(np.isfinite(written_numbers(out))), argv
+                    out.unlink()
+                else:
+                    assert not out.exists(), argv
 
     def test_unknown_preset_lists_catalog(self):
         with pytest.raises(ConfigError, match="available"):
@@ -51,8 +90,8 @@ class TestCatalog:
 class TestSceneConsistency:
     def test_backaction_scene_peak(self):
         scene = preset("backaction")
-        peak = backaction_sideband(0.0, scene["drive.g"],
-                                   scene["drive.kappa_eff"], "red").damping_shift
+        _, (peak,) = backaction_sideband(np.array([0.0]), scene["drive.g"],
+                                         scene["drive.kappa_eff"], "red")
         assert peak == pytest.approx(TWO_PI * 22e3, rel=1e-12)
 
     def test_strong_coupling_d_cooperativity(self):
