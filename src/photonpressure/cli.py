@@ -200,10 +200,10 @@ def cmd_respond(args) -> int:
 def cmd_backaction(args) -> int:
     cfg = build_config(args)
     g = need(cfg, "drive.g")
-    kappa_eff = need(cfg, "drive.kappa_eff")
+    kappa = cavity_linewidth(cfg)
     sideband = pump_sideband(cfg)
     grid = parse_grid(args.grid, "--grid", np.linspace(-3e5, 3e5, args.points))
-    shift, damping = dynamics.backaction_sideband(TWO_PI * grid, g, kappa_eff, sideband)
+    shift, damping = dynamics.backaction_sideband(TWO_PI * grid, g, kappa, sideband)
     write_columns(args.out, [grid, shift / TWO_PI, damping / TWO_PI],
                   {"columns": "offset_hz frequency_shift_hz damping_shift_hz",
                    "sideband": sideband})
@@ -235,7 +235,7 @@ def cmd_psd(args) -> int:
     grid = parse_grid(args.grid, "--grid", peak + np.linspace(-1.5e5, 1.5e5, args.points))
     trace = synth_psd(cfg, grid, detection, noise=noise_from(cfg, args.seed))
     omega0 = need(cfg, "hf.omega0")
-    if args.units == "photon":
+    if args.units in (None, "photon"):
         values = trace.values / (detection.total_gain * hbar * omega0)
         trace = SpectrumTrace(trace.frequency_hz, values, units="photon")
     elif args.units == "dbm":
@@ -283,6 +283,8 @@ def cmd_fit(args) -> int:
 def cmd_synth(args) -> int:
     if args.model == "psd":
         return cmd_psd(args)
+    if args.units is not None:
+        raise ConfigError("--units applies only to synth --model psd")
     if not args.out:
         raise ConfigError("synth requires --out")
     return cmd_respond(args)
@@ -340,7 +342,7 @@ def _add_common(sub, grid=True, seed=False, units=False):
     if seed:
         sub.add_argument("--seed", type=_int_at_least(0), default=0)
     if units:
-        sub.add_argument("--units", choices=("si", "photon", "dbm"), default="photon")
+        sub.add_argument("--units", choices=("si", "photon", "dbm"))
     if grid:
         sub.add_argument("--grid", help="START:STOP:POINTS in Hz")
         sub.add_argument("--points", type=_int_at_least(2), default=2001,

@@ -80,10 +80,10 @@ def _arch_at(flux_bias, omega0, dilution, gamma_l):
 
 
 def squid_frequency(flux_bias, omega0, dilution, gamma_l):
-    """Cavity resonance frequency (rad/s) at ``flux_bias`` in PHI_0 units, scalar
-    or array; the bias must stay inside the arch, cos(pi * gamma_l * phi) > 0."""
-    out, _ = _arch_at(flux_bias, omega0, dilution, gamma_l)
-    return out if out.ndim else float(out)
+    """Cavity resonance frequency (rad/s) at ``flux_bias`` in PHI_0 units, of the
+    bias's shape as numpy returns it (a numpy float for a scalar); the bias must
+    stay inside the arch, cos(pi * gamma_l * phi) > 0."""
+    return _arch_at(flux_bias, omega0, dilution, gamma_l)[0]
 
 
 def flux_responsivity(flux_bias, omega0, dilution, gamma_l):
@@ -93,8 +93,7 @@ def flux_responsivity(flux_bias, omega0, dilution, gamma_l):
     magnitude is what enters the coupling rate.
     """
     _, derivatives = _arch_at(flux_bias, omega0, dilution, gamma_l)
-    out = derivatives()[2] * np.pi * gamma_l
-    return out if out.ndim else float(out)
+    return derivatives()[2] * np.pi * gamma_l
 
 
 def single_photon_coupling(flux_bias, omega0, dilution, gamma_l, zero_point_flux_phi0: float):

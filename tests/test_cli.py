@@ -295,11 +295,13 @@ class TestExitCodes:
         ["backaction", "--preset", "backaction", "--seed", "9"],
         ["backaction", "--preset", "backaction", "--sideband", "blue"],
         ["nms", "--preset", "strong_coupling_D", "--units", "dbm"],
+        ["synth", "--model", "bare", "--preset", "hf_fit", "--units", "dbm"],
         ["fit", "trace.dat", "--seed", "9"],
         ["sweep", "--preset", "strong_coupling_D", "--outer", "drive.g:0:1e5:3",
          "--seed", "9"],
     ], ids=["params-seed", "params-units", "respond-units", "backaction-seed",
-            "backaction-sideband", "nms-units", "fit-seed", "sweep-seed"])
+            "backaction-sideband", "nms-units", "synth-bare-units", "fit-seed",
+            "sweep-seed"])
     def test_option_the_command_does_not_read_is_config_error(self, tmp_path, argv):
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2
@@ -654,6 +656,21 @@ class TestSimulationCommands:
         assert data[i, 2] == pytest.approx(22e3, rel=1e-9)
         # dispersive shift crosses zero at the sideband and peaks at +-k/2
         assert data[i, 1] == pytest.approx(0.0, abs=1e-6)
+
+    def test_backaction_reads_cavity_linewidth_of_scene(self, tmp_path):
+        # scene B has no drive.kappa_eff: its linewidth is hf.kappa_i + hf.kappa_e,
+        # as for nms and respond --model lf_pumped
+        from photonpressure.presets import preset
+
+        scene = preset("strong_coupling_B")
+        out = tmp_path / "bb.dat"
+        assert run("backaction", "--preset", "strong_coupling_B",
+                   "--grid=-1e5:1e5:3", "--out", str(out)) == 0
+        _, data = read_points(out, n_columns=3)
+        kappa = scene["hf.kappa_i"] + scene["hf.kappa_e"]
+        assert data[1, 0] == 0.0
+        assert data[1, 2] == pytest.approx(4 * scene["drive.g"] ** 2 / kappa / TWO_PI,
+                                           rel=1e-12)
 
     def test_lf_pumped_response_of_backaction_scene(self, tmp_path):
         # the backaction scene's rates split its lf.gamma0, and its red pump
