@@ -48,12 +48,13 @@ EXIT_OK = 0
 
 def _parse_set(entry: str):
     key, sep, value = entry.partition("=")
+    key = key.strip()
     if not sep or not key:
         raise ConfigError(f"--set expects KEY=VALUE, got {entry!r}")
     try:
-        return key.strip(), float(value)
+        return key, float(value)
     except ValueError:
-        return key.strip(), value.strip()
+        return key, value.strip()
 
 
 def apply_layer(cfg: dict, layer: dict) -> None:
@@ -246,6 +247,10 @@ def cmd_psd(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    """Fit the input file and write the report to --out.  A ``bare`` or
+    ``pumped`` fit with ``--out R`` also writes ``R.trace``, the trace with the
+    fitted background divided out and the rotation removed, as
+    ``frequency_hz re im``."""
     from .fitting import fit_backaction, fit_flux_arch, fit_lorentzian, fit_resonance
 
     cfg = build_config(args)
@@ -298,9 +303,10 @@ def cmd_sweep(args) -> int:
     if len(outer_specs) != 1:
         raise ConfigError("sweep needs exactly one --outer KEY:START:STOP:POINTS")
     key, _, grid_part = outer_specs[0].partition(":")
-    if not grid_part:
+    key = key.strip()  # as _parse_set reads a --set key
+    if not key or not grid_part:
         raise ConfigError("--outer expects KEY:START:STOP:POINTS")
-    if any(entry.startswith(key + "=") for entry in (args.set or [])):
+    if any(_parse_set(entry)[0] == key for entry in (args.set or [])):
         raise ConfigError(f"axis collision: {key!r} is both swept and set")
     outer = parse_grid(grid_part, "--outer")
     probe = _probe_grid(args, cfg)

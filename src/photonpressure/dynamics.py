@@ -2,11 +2,11 @@
 
 A strong pump at detuning Delta from the cavity turns the flux coupling into
 a beam-splitter / amplifier interaction with multi-photon rate
-g = sqrt(n_c) * g0.  This module evaluates the resulting susceptibilities,
-reflection responses, backaction on the low-frequency mode, and the hybrid
-normal modes.  Probe frequencies for the cavity-side response are offsets
-from the pump, Omega = omega_probe - omega_pump; the low-frequency side is
-probed directly at its own (absolute) frequency.
+g = sqrt(n_c) * g0.  This module evaluates the resulting reflection
+responses, the resolved-sideband backaction on the low-frequency mode, and
+the hybrid normal modes.  Probe frequencies for the cavity-side response are
+offsets from the pump, Omega = omega_probe - omega_pump; the low-frequency
+side is probed directly at its own (absolute) frequency.
 
 All functions are pure.  The responses take a grid (of frequencies, pump
 offsets or couplings) and return arrays of its shape; a 0-d grid gives numpy
@@ -27,11 +27,9 @@ from .errors import DomainError
 
 __all__ = [
     "BackgroundModel",
-    "effective_lf_susceptibility",
     "s11_bare",
     "s11_pumped",
     "lf_s11_pumped",
-    "backaction_exact",
     "backaction_sideband",
     "normal_modes",
     "cooperativity",
@@ -97,19 +95,6 @@ def _pumped_reflection(om, kappa_i, kappa_e, lf_frequency, lf_linewidth, g, detu
     return np.conj(1.0 - kappa_e * chi_c * (1.0 + a * chi_c * chi_eff)), terms
 
 
-def effective_lf_susceptibility(offset, lf_frequency, lf_linewidth, g, detuning, kappa):
-    """Low-frequency susceptibility including the pump-mediated self-energy.
-
-    chi_eff = 1 / (Omega0^2 - Omega^2 - i*Omega*Gamma0
-                   - 2i*Omega0*g^2*[chi_c(Omega) - chi_c*(-Omega)])
-    """
-    if lf_linewidth <= 0 or kappa <= 0:
-        raise DomainError("rates must be positive")
-    om = np.asarray(offset)
-    om = om.astype(complex if np.iscomplexobj(om) else float)
-    return _pumped_terms(om, kappa, lf_frequency, lf_linewidth, g, detuning)[-1]
-
-
 def s11_bare(omega, omega0, kappa_i, kappa_e):
     """Reflection 1 - 2*kappa_e/(kappa_i + kappa_e + 2i(omega - omega0)).
 
@@ -157,28 +142,6 @@ def lf_s11_pumped(omega, lf_frequency, gamma_i, gamma_e, g, detuning, kappa):
     sigma = -1j * g ** 2 * (chi_c - chi_cm)
     return np.conj(1.0 - gamma_e / (0.5 * (gamma_i + gamma_e) - 1j * (om - lf_frequency)
                                     + 1j * sigma))
-
-
-def backaction_exact(detuning, g, kappa, lf_frequency):
-    """Pump-induced frequency shift and damping of the low-frequency mode.
-
-    Evaluated from the self-energy at the mode frequency:
-
-        shift   = g^2 [ (D+W)/(k^2/4+(D+W)^2) + (D-W)/(k^2/4+(D-W)^2) ]
-        damping = g^2 k [ 1/(k^2/4+(D+W)^2) - 1/(k^2/4+(D-W)^2) ]
-
-    with D the pump detuning, W the mode frequency and k the cavity
-    linewidth.  Valid for any detuning.  Returns ``(shift, damping)`` in
-    rad/s, each of the shape of ``detuning``.
-    """
-    if kappa <= 0:
-        raise DomainError("cavity linewidth must be positive")
-    d = np.asarray(detuning, dtype=float)
-    plus = kappa ** 2 / 4.0 + (d + lf_frequency) ** 2
-    minus = kappa ** 2 / 4.0 + (d - lf_frequency) ** 2
-    shift = g ** 2 * ((d + lf_frequency) / plus + (d - lf_frequency) / minus)
-    damping = g ** 2 * kappa * (1.0 / plus - 1.0 / minus)
-    return shift, damping
 
 
 def backaction_sideband(offset, g, kappa_eff, sideband="red"):

@@ -3,9 +3,8 @@
 With the pump on the upper sideband the thermal and vacuum fluctuations of
 the low-frequency mode are amplified and scattered to the cavity resonance,
 where they appear as a narrow peak on top of the detection-chain noise floor.
-This module evaluates that power spectral density and the current spectral
-density of the low-frequency mode, and inverts measured spectra to mode
-occupations.
+This module evaluates that power spectral density and inverts measured
+spectra to mode occupations.
 
 Conventions: PSDs are handled internally in photon units (occupation-like,
 the spectrum divided by hbar*omega*gain); the anti-Stokes peak appears at
@@ -17,22 +16,16 @@ Gamma0' = Gamma0 * (1 - C), so cooperativities C >= 1 are an error state
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import hbar, k_B
 from .errors import DomainError
 from .traces import SpectrumTrace
 
 __all__ = [
     "DetectionChain",
-    "hemt_noise_power_dbm",
-    "bose_occupation",
     "psd_blue_pump",
-    "psd_on_sideband",
-    "current_psd",
     "extract_current_psd",
     "thermal_photons_from_peak",
     "backaction_free",
@@ -66,29 +59,6 @@ class DetectionChain:
         return n_add / efficiency + (1.0 - efficiency) / (2.0 * efficiency)
 
 
-def hemt_noise_power_dbm(noise_temperature: float, bandwidth: float) -> float:
-    """Thermal noise power of the amplifier in dBm over ``bandwidth``.
-
-    10*log10(k_B*T / 1 mW) + 10*log10(bandwidth / Hz).
-    """
-    if noise_temperature <= 0 or bandwidth <= 0:
-        raise DomainError("noise temperature and bandwidth must be positive")
-    return 10.0 * math.log10(k_B * noise_temperature / 1e-3) + 10.0 * math.log10(bandwidth)
-
-
-def bose_occupation(frequency, temperature: float):
-    """Thermal occupation 1/(exp(hbar*omega/kT) - 1), zero at T = 0: an array
-    of the shape of ``frequency``."""
-    if temperature < 0:
-        raise DomainError("temperature must be >= 0")
-    om = np.asarray(frequency, dtype=float)
-    if np.any(om <= 0):
-        raise DomainError("frequency must be positive")
-    if temperature == 0.0:
-        return np.zeros_like(om)
-    return 1.0 / np.expm1(hbar * om / (k_B * temperature))
-
-
 def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,
                   n_lf, n_cavity=0.0, n_add_eff=0.0):
     """Output power spectral density in photon units under a sideband pump.
@@ -117,33 +87,6 @@ def psd_blue_pump(offset, *, kappa, kappa_e, gamma0, lf_frequency, g, detuning,
     num = kappa_e * g ** 2 * abs2_lf * abs2_c * gamma0 * (n_lf + 1.0) \
         + kappa_e * abs2_c * kappa * n_cavity
     return 0.5 + n_add_eff + num / (loop.real ** 2 + loop.imag ** 2)
-
-
-def psd_on_sideband(offset_from_peak, kappa, kappa_e, cooperativity, gamma0,
-                    gamma0_eff, n_lf, n_add_eff=0.0):
-    """Lorentzian limit of the spectrum for a pump exactly on the sideband.
-
-    S = 1/2 + n_add' + 4 (ke/k) C Gamma0^2 / (Gamma0'^2 + 4 delta^2) (n_LF+1),
-    a peak of FWHM Gamma0' on the flat background; an array of the shape of
-    ``offset_from_peak``.
-    """
-    if kappa <= 0 or kappa_e < 0 or gamma0 <= 0 or gamma0_eff <= 0:
-        raise DomainError("rates must be positive")
-    d = np.asarray(offset_from_peak, dtype=float)
-    return 0.5 + n_add_eff + (4.0 * kappa_e / kappa * cooperativity * gamma0 ** 2
-                              / (gamma0_eff ** 2 + 4.0 * d ** 2) * (n_lf + 1.0))
-
-
-def current_psd(offset_from_peak, gamma0, gamma0_eff, i_zpf, n_lf):
-    """Current fluctuation spectral density of the low-frequency mode, A^2/Hz.
-
-    S_I = 8 Gamma0 / (Gamma0'^2 + 4 delta^2) * I_zpf^2 * (n_LF + 1), an array
-    of the shape of ``offset_from_peak``.
-    """
-    if gamma0 <= 0 or gamma0_eff <= 0:
-        raise DomainError("rates must be positive")
-    d = np.asarray(offset_from_peak, dtype=float)
-    return 8.0 * gamma0 / (gamma0_eff ** 2 + 4.0 * d ** 2) * i_zpf ** 2 * (n_lf + 1.0)
 
 
 def extract_current_psd(trace: SpectrumTrace, background: float, n_add_eff: float,

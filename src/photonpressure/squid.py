@@ -25,7 +25,6 @@ __all__ = [
     "screening_parameter",
     "junction_inductance",
     "critical_current",
-    "squid_frequency",
     "flux_responsivity",
     "single_photon_coupling",
 ]
@@ -77,13 +76,6 @@ def _arch_at(flux_bias, omega0, dilution, gamma_l):
         raise DomainError(f"flux bias beyond the arch (|phi| >= {0.5 / gamma_l:.4f} "
                           "PHI_0): Josephson inductance diverges")
     return _arch(u, c, omega0, dilution)
-
-
-def squid_frequency(flux_bias, omega0, dilution, gamma_l):
-    """Cavity resonance frequency (rad/s) at ``flux_bias`` in PHI_0 units, of the
-    bias's shape as numpy returns it (a numpy float for a scalar); the bias must
-    stay inside the arch, cos(pi * gamma_l * phi) > 0."""
-    return _arch_at(flux_bias, omega0, dilution, gamma_l)[0]
 
 
 def flux_responsivity(flux_bias, omega0, dilution, gamma_l):

@@ -90,28 +90,19 @@ def _read_text(path) -> str:
         raise TraceFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _is_number(field: str) -> bool:
-    """Whether :func:`numpy.loadtxt` reads ``field`` as a float: as ``float``
-    does, but in ASCII only and without '_' digit separators."""
-    if not field.isascii() or "_" in field:
-        return False
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
-
-
 def _row_error(lines, n_columns):
     """The :class:`TraceFormatError`, with its line number, for the first row
-    with a field that is not a number, other than ``n_columns`` fields, or
-    another width than the row before it; None if every row is good."""
+    that :func:`numpy.loadtxt` cannot read, with other than ``n_columns``
+    fields, or with another width than the row before it; None if every row
+    is good."""
     width = None
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
-        if not all(_is_number(field) for field in fields):
+        try:
+            np.loadtxt([raw], comments="#")
+        except ValueError:
             return TraceFormatError(f"could not parse {raw.strip()!r}", line=lineno)
         if n_columns is not None and len(fields) != n_columns:
             return TraceFormatError(

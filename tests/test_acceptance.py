@@ -13,19 +13,18 @@ import numpy as np
 
 from photonpressure.cli import main
 from photonpressure.constants import hbar
-from photonpressure.dynamics import (backaction_exact, backaction_sideband,
-                                     normal_modes, s11_pumped)
+from photonpressure.dynamics import backaction_sideband, normal_modes, s11_pumped
 from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
-from photonpressure.noise import (DetectionChain, backaction_free,
-                                  bose_occupation, extract_current_psd,
-                                  hemt_noise_power_dbm,
+from photonpressure.noise import (DetectionChain, backaction_free, extract_current_psd,
                                   thermal_photons_from_peak)
 from photonpressure.presets import preset
-from photonpressure.squid import (flux_responsivity, single_photon_coupling,
-                                  squid_frequency)
+from photonpressure.squid import flux_responsivity, single_photon_coupling
 from photonpressure.synth import NoiseSpec, synth_psd
+
+from oracles import (backaction_exact, bose_occupation, hemt_noise_power_dbm,
+                     squid_frequency)
 
 TWO_PI = 2 * math.pi
 # largest usable flux bias of the measured device, in PHI_0

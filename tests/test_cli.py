@@ -14,9 +14,10 @@ import pytest
 import photonpressure
 from photonpressure.cli import main
 from photonpressure.fitting import fit_lorentzian, fit_resonance
-from photonpressure.squid import squid_frequency
 from photonpressure.synth import make_rng
 from photonpressure.traces import read_complex_trace, read_points, read_spectrum_trace
+
+from oracles import squid_frequency
 
 TWO_PI = 2 * math.pi
 LF = TWO_PI * 391e6  # lf.omega0 of the strong_coupling and ppia presets
@@ -63,6 +64,7 @@ class TestExitCodes:
           "--set", "hf.kappa_i=1e308"], 4, ""),
         (["backaction", "--preset", "backaction", "--set", "drive.kappa_eff=1e-300"], 4, ""),
         (["respond", "--preset", "strong_coupling_D", "--params", "{tmp}/bool.json"], 2, ""),
+        (["params", "--preset", "nope"], 2, "unknown preset 'nope'"),
         (["respond", "--preset", "strong_coupling_D", "--out", "{tmp}/missing/x.dat"], 2,
          "{tmp}/missing/x.dat"),
         # omega^2 underflows to 0 in circuit.infer_inductance, which divides by it
@@ -76,10 +78,16 @@ class TestExitCodes:
          "7.82e+08 Hz"),
         (["nms", "--preset", "strong_coupling_B", "--set", "drive.sideband_offset=3e5"], 4,
          "47746.5 Hz"),
+        # --set reads its key stripped, so the swept key collides with it
+        (["sweep", "--preset", "strong_coupling_A", "--outer", "drive.g:1e5:3e5:3",
+          "--set", "drive.g =5e5"], 2, "axis collision: 'drive.g' is both swept and set"),
+        (["sweep", "--preset", "strong_coupling_A", "--outer", " :1e5:3e5:3"], 2,
+         "--outer expects KEY:START:STOP:POINTS"),
     ], ids=["fit-directory", "params-directory", "fit-not-utf8", "respond-overflow",
             "backaction-overflow", "nms-overflow", "backaction-nan-row", "json-boolean",
-            "unwritable-out", "params-lf-underflow", "params-hf-underflow", "nms-blue-preset",
-            "nms-blue-sideband", "nms-sideband-offset"])
+            "params-unknown-preset", "unwritable-out", "params-lf-underflow",
+            "params-hf-underflow", "nms-blue-preset", "nms-blue-sideband",
+            "nms-sideband-offset", "sweep-padded-set-key", "sweep-blank-key"])
     def test_unusable_input_ends_with_one_error_line(self, tmp_path, capsys, argv, code,
                                                      named):
         # ``named`` is what the message must name (a file, or the value at
@@ -280,9 +288,10 @@ class TestExitCodes:
          "--set", "noise.sigma=0.002", "--seed", "3"],
         ["synth", "--model", "bare", "--preset", "hf_fit",
          "--set", "noise.kind=additive-complex-gaussian", "--seed", "3"],
+        ["respond", "--preset", "strong_coupling_D", "--set", " =5"],
     ], ids=["non-numeric", "nan-gamma0", "nan-kappa_eff", "inf-omega0",
             "negative-points", "negative-seed", "unknown-sideband", "sigma-without-kind",
-            "kind-without-sigma"])
+            "kind-without-sigma", "blank-set-key"])
     def test_bad_value_is_config_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out.dat"
         assert run(*argv, "--out", str(out)) == 2
@@ -700,7 +709,7 @@ class TestSimulationCommands:
         assert data[0, 4] == pytest.approx(214.4e3, rel=1e-9)
 
     def test_psd_temperature_family_monotone(self, tmp_path):
-        from photonpressure.noise import bose_occupation
+        from oracles import bose_occupation
         peaks = []
         for i, t in enumerate((0.015, 0.1, 0.22)):
             n_th = bose_occupation(TWO_PI * 391e6, t) + 3.6
@@ -721,6 +730,18 @@ class TestSimulationCommands:
         _, data = read_points(out)
         dips = data[:, 1:].argmin(axis=1)
         assert np.all(dips == dips[0])
+
+    @pytest.mark.parametrize("outer", [" drive.g:1e5:3e5:3", "drive.g :1e5:3e5:3"],
+                             ids=["leading-space", "trailing-space"])
+    def test_sweep_reads_its_axis_key_as_set_does(self, tmp_path, outer):
+        # the outer key is stripped, as a --set key is: each row has its own g
+        argv = ["sweep", "--preset", "strong_coupling_A", "--grid", "5843e6:5845e6:5"]
+        padded, plain = tmp_path / "padded.dat", tmp_path / "plain.dat"
+        assert run(*argv, "--outer", outer, "--out", str(padded)) == 0
+        assert run(*argv, "--outer", "drive.g:1e5:3e5:3", "--out", str(plain)) == 0
+        assert padded.read_bytes() == plain.read_bytes()
+        _, data = read_points(padded, n_columns=6)
+        assert len({row.tobytes() for row in data[:, 1:]}) == 3
 
     def test_sweep_map_format(self, tmp_path):
         out = tmp_path / "sweep.dat"

@@ -9,9 +9,10 @@ from photonpressure.errors import DomainError
 from photonpressure.fitting import (BackgroundModel, fit_backaction,
                                     fit_flux_arch, fit_lorentzian,
                                     fit_resonance)
-from photonpressure.squid import squid_frequency
 from photonpressure.synth import NoiseSpec, make_rng, synth_s11
 from photonpressure.traces import ComplexTrace, SpectrumTrace
+
+from oracles import squid_frequency
 
 TWO_PI = 2 * math.pi
 

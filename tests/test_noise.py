@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from photonpressure.constants import hbar, k_B
 from photonpressure.errors import DomainError
-from photonpressure.noise import (DetectionChain, backaction_free,
-                                  bose_occupation, current_psd, extract_current_psd,
-                                  hemt_noise_power_dbm, psd_blue_pump,
-                                  psd_on_sideband, thermal_photons_from_peak)
+from photonpressure.noise import (DetectionChain, backaction_free, extract_current_psd,
+                                  psd_blue_pump, thermal_photons_from_peak)
 from photonpressure.traces import SpectrumTrace
+
+from oracles import bose_occupation, current_psd, hemt_noise_power_dbm, psd_on_sideband
 
 TWO_PI = 2 * math.pi
 

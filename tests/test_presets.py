@@ -7,9 +7,11 @@ import pytest
 
 from photonpressure.cli import main
 from photonpressure.dynamics import backaction_sideband, cooperativity
-from photonpressure.errors import ConfigError
+from photonpressure.errors import ConfigError, DomainError
 from photonpressure.presets import _PRESETS, need, preset
 from photonpressure.squid import single_photon_coupling
+
+from oracles import squid_frequency
 
 TWO_PI = 2 * math.pi
 
@@ -37,6 +39,41 @@ def written_numbers(path):
     if text.startswith("{"):
         return np.array([v for v in json.loads(text).values() if isinstance(v, float)])
     return np.loadtxt(io.StringIO(text), ndmin=1)
+
+
+# each fit model: the preset its input is made from, and the command that
+# writes that input (the arch points come from the arch model itself)
+FIT_INPUTS = {
+    "bare": ("hf_fit", ["synth", "--model", "bare"]),
+    "pumped": ("strong_coupling_B", ["synth", "--model", "pumped"]),
+    "lorentzian": ("ppia", ["psd"]),
+    "backaction": ("backaction", ["backaction"]),
+    "flux_arch": ("flux_arch", None),
+}
+# the preset keys each fit reads; a fit that reads none is given no preset
+FIT_KEYS = {"pumped": ("hf.kappa_e", "lf.gamma0", "drive.g", "lf.omega0", "drive.detuning"),
+            "flux_arch": ("squid.total_inductance",)}
+
+
+def write_fit_input(model, overrides, path):
+    """Write the input of ``fit --model model`` to ``path``, 201 points (19 arch
+    points) from its preset with the values ``overrides`` set; returns the exit
+    code of the command that wrote it."""
+    name, command = FIT_INPUTS[model]
+    if command is not None:
+        settings = [arg for key, value in overrides.items()
+                    for arg in ("--set", f"{key}={value!r}")]
+        return main([*command, "--preset", name, "--points", "201", *settings,
+                     "--out", str(path)])
+    cfg = {**preset(name), **overrides}
+    phi = np.linspace(-0.45, 0.45, 19)
+    try:
+        freq = squid_frequency(phi, *(cfg[key] for key in
+                                      ("squid.omega0", "squid.dilution", "squid.gamma_l")))
+    except DomainError:
+        return DomainError.exit_code
+    path.write_text("".join(f"{p:.17g} {f / TWO_PI:.17g}\n" for p, f in zip(phi, freq)))
+    return 0
 
 
 class TestCatalog:
@@ -71,6 +108,43 @@ class TestCatalog:
                     out.unlink()
                 else:
                     assert not out.exists(), argv
+
+    @pytest.mark.parametrize("model", FIT_INPUTS)
+    def test_fit_edge_values_exit_with_a_documented_code(self, tmp_path, capsys, model):
+        # the fit runs on its input made with each preset key at each edge
+        # value, and on the plain input with each key it reads at each edge
+        # value; it ends with exit 0 and only finite numbers written, or with
+        # one error line and no file
+        name = FIT_INPUTS[model][0]
+        keys = FIT_KEYS.get(model, ())
+        plain = tmp_path / "plain.dat"
+        assert write_fit_input(model, {}, plain) == 0
+        runs = [(plain, key, value) for key in keys for value in EDGE_VALUES]
+        for key in preset(name):
+            for value in EDGE_VALUES:
+                path = tmp_path / f"in{len(runs)}.dat"
+                if write_fit_input(model, {key: value}, path) == 0:
+                    runs.append((path, key, value))
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        written = [out, tmp_path / "report.json.trace"]
+        for path, key, value in runs:
+            settings = ["--preset", name, "--set", f"{key}={value!r}"] if keys else []
+            argv = ["fit", str(path), "--model", model, *settings, "--out", str(out)]
+            try:
+                code = main(argv)
+            except Exception as exc:  # name the run; the chained traceback shows where
+                raise AssertionError(f"{' '.join(argv)} raised {exc!r}") from exc
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4, 5), argv
+            if code == 0:
+                assert err == "", argv
+                for report in (f for f in written if f.exists()):
+                    assert np.all(np.isfinite(written_numbers(report))), argv
+                    report.unlink()
+            else:
+                assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+                assert not any(f.exists() for f in written), argv
 
     def test_unknown_preset_lists_catalog(self):
         with pytest.raises(ConfigError, match="available"):

@@ -177,7 +177,7 @@ class TestSynthPsd:
             synth_psd(scene, grid, detection)
 
     def test_temperature_series_monotone(self, presets, detection):
-        from photonpressure.noise import bose_occupation
+        from oracles import bose_occupation
         scene = dict(presets["ppia"])
         coop = scene["drive.cooperativity"]
         f_peak = (scene["hf.omega0"] + scene["drive.detuning"]
